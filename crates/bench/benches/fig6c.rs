@@ -27,7 +27,7 @@ fn main() {
     // needs ~10^5 matching rows per group — a trivial fraction of 5.5 B
     // logical rows but most of our physical rows; under the logical
     // scale factor the achieved physical error maps to err/√scale at
-    // paper scale. See EXPERIMENTS.md, "logical scale".)
+    // paper scale; see `Table::set_logical_scale`.)
     let sql = "SELECT AVG(sessiontimems) FROM sessions WHERE dt <= 15 GROUP BY os \
                WITHIN 2 SECONDS";
 

@@ -3,10 +3,10 @@
 //! Every `benches/figNN.rs` target regenerates one table or figure of
 //! the paper's evaluation (§6): it builds the corresponding workload,
 //! runs the systems under comparison, and prints the same rows/series
-//! the paper plots. EXPERIMENTS.md records paper-vs-measured values.
+//! the paper plots. CHANGES.md records the paper-vs-measured values each
+//! PR observed; wall-clock numbers live in `blinkbench/README.md`.
 
 use blinkdb_core::blinkdb::{BlinkDb, BlinkDbConfig};
-use blinkdb_sql::template::WeightedTemplate;
 use blinkdb_storage::StorageTier;
 use blinkdb_workload::conviva::{conviva_dataset, ConvivaDataset};
 use blinkdb_workload::tpch::{tpch_dataset, TpchDataset};
@@ -67,12 +67,6 @@ pub fn set_all_tiers(db: &mut BlinkDb, tier: StorageTier) {
     for i in 0..db.families().len() {
         db.set_family_tier(i, tier);
     }
-}
-
-/// Formats a weighted template for display.
-pub fn template_label(t: &WeightedTemplate) -> String {
-    let names: Vec<&str> = t.columns.iter().collect();
-    format!("[{}]", names.join(" "))
 }
 
 /// Prints a header box for a harness.

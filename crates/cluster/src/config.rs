@@ -36,19 +36,6 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A cluster of `n` nodes with otherwise default (paper-like) shape.
-    pub fn with_nodes(n: usize) -> Self {
-        ClusterConfig {
-            num_nodes: n,
-            ..ClusterConfig::default()
-        }
-    }
-
-    /// Total task slots.
-    pub fn total_slots(&self) -> usize {
-        self.num_nodes * self.cores_per_node
-    }
-
     /// Total distributed cache in MB.
     pub fn total_cache_mb(&self) -> f64 {
         self.cache_mb_per_node * self.num_nodes as f64
@@ -64,15 +51,7 @@ mod tests {
         let c = ClusterConfig::default();
         assert_eq!(c.num_nodes, 100);
         assert_eq!(c.cores_per_node, 8);
-        assert_eq!(c.total_slots(), 800);
         // ~6 TB distributed cache.
         assert!((c.total_cache_mb() - 6_144_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn with_nodes_scales_only_node_count() {
-        let c = ClusterConfig::with_nodes(10);
-        assert_eq!(c.num_nodes, 10);
-        assert_eq!(c.cores_per_node, 8);
     }
 }

@@ -1,9 +1,9 @@
 //! Job latency simulation.
 //!
 //! A [`SimJob`] describes one distributed aggregation: how many MB land
-//! on each node (from the table's [`blinkdb_storage::BlockMap`] or a
-//! balanced split), which storage tier serves them, and how many MB the
-//! GROUP BY shuffle moves. [`simulate_job`] prices it:
+//! on each node (a balanced split or a partition fan-out), which
+//! storage tier serves them, and how many MB the GROUP BY shuffle
+//! moves. [`simulate_job`] prices it:
 //!
 //! ```text
 //! latency = launch
@@ -174,21 +174,21 @@ pub fn simulate_job(
     }
 }
 
-/// Convenience: simulate a balanced scan of `total_mb` and return seconds.
-pub fn scan_seconds(
-    cluster: &ClusterConfig,
-    engine: &EngineProfile,
-    total_mb: f64,
-    tier: StorageTier,
-    run_seed: u64,
-) -> f64 {
-    let job = SimJob::balanced(total_mb, cluster, tier);
-    simulate_job(cluster, engine, &job, run_seed).total_s()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Simulates a balanced scan of `total_mb` and returns seconds.
+    fn scan_seconds(
+        cluster: &ClusterConfig,
+        engine: &EngineProfile,
+        total_mb: f64,
+        tier: StorageTier,
+        run_seed: u64,
+    ) -> f64 {
+        let job = SimJob::balanced(total_mb, cluster, tier);
+        simulate_job(cluster, engine, &job, run_seed).total_s()
+    }
 
     fn no_jitter() -> ClusterConfig {
         ClusterConfig {
@@ -376,7 +376,8 @@ mod tests {
     fn more_nodes_scan_faster() {
         let mk = |n: usize| ClusterConfig {
             jitter: 0.0,
-            ..ClusterConfig::with_nodes(n)
+            num_nodes: n,
+            ..ClusterConfig::default()
         };
         let e = EngineProfile::shark_cached();
         let t10 = scan_seconds(&mk(10), &e, 1e6, StorageTier::Memory, 0);

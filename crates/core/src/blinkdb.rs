@@ -16,7 +16,7 @@ use blinkdb_cluster::{simulate_job, ClusterConfig, EngineProfile, SimJob};
 use blinkdb_common::error::{BlinkError, Result};
 use blinkdb_common::schema::Schema;
 use blinkdb_exec::{execute, ExecOptions, QueryAnswer, RateSpec};
-use blinkdb_sql::bind::bind;
+use blinkdb_sql::bind::{bind, BoundQuery};
 use blinkdb_sql::template::{ColumnSet, WeightedTemplate};
 use blinkdb_storage::{SegmentLog, SegmentMeta, StorageTier, Table, TableRef};
 use std::collections::HashMap;
@@ -88,9 +88,7 @@ pub struct ExecPolicy {
     /// the vectorized columnar kernel (see
     /// [`blinkdb_exec::ExecOptions::vectorized`]). Off by default — the
     /// kernel is pinned bit-identical to the scalar path, so this flag
-    /// only trades speed; it exists for differential testing and as a
-    /// runtime escape hatch (`BLINKDB_SCALAR_SCAN=1` forces the same
-    /// fallback without a policy change).
+    /// only trades speed; it exists for differential testing.
     pub scalar_scan: bool,
 }
 
@@ -611,42 +609,22 @@ impl BlinkDb {
 
     /// Answers a query with BlinkDB's full pipeline (§4).
     pub fn query(&self, sql: &str) -> Result<ApproxAnswer> {
-        self.query_profiled(sql, None).map(|(answer, _)| answer)
+        let query = blinkdb_sql::parse(sql)?;
+        self.query_parsed_with(&query, None, None)
+            .map(|(answer, _)| answer)
     }
 
-    /// Answers a query, optionally reusing a cached [`PlanProfile`] (the
-    /// Error–Latency Profile of a previous run of the same query
-    /// template) to skip family selection and ELP probing.
+    /// Answers an already-parsed query, optionally reusing a cached
+    /// [`PlanProfile`] (the Error–Latency Profile of a previous run of
+    /// the same query template) to skip family selection and ELP
+    /// probing, under a per-call [`ExecPolicy`] override (`None` uses
+    /// `config.exec`).
     ///
     /// Returns the answer plus the profile observed on this run when the
     /// full pipeline ran (`None` when the hint was used or the query took
-    /// the disjunctive path). Callers such as `blinkdb-service` cache the
-    /// profile per canonical query template.
-    pub fn query_profiled(
-        &self,
-        sql: &str,
-        hint: Option<&PlanProfile>,
-    ) -> Result<(ApproxAnswer, Option<PlanProfile>)> {
-        let query = blinkdb_sql::parse(sql)?;
-        self.query_parsed(&query, hint)
-    }
-
-    /// [`BlinkDb::query_profiled`] for an already-parsed query. Lets a
-    /// caller that needs the AST anyway (e.g. for canonical cache keys,
-    /// or to rewrite the bound clause during admission-control
-    /// degradation) avoid a second parse.
-    pub fn query_parsed(
-        &self,
-        query: &blinkdb_sql::ast::Query,
-        hint: Option<&PlanProfile>,
-    ) -> Result<(ApproxAnswer, Option<PlanProfile>)> {
-        self.query_parsed_with(query, hint, None)
-    }
-
-    /// [`BlinkDb::query_parsed`] with a per-call [`ExecPolicy`] override
-    /// (`None` uses `config.exec`). `blinkdb-service` uses this to pin
-    /// partition fan-out and early termination per deployment without
-    /// mutating the shared instance.
+    /// the disjunctive path). `blinkdb-service` caches the profile per
+    /// canonical query template, and pins partition fan-out and early
+    /// termination per deployment without mutating the shared instance.
     pub fn query_parsed_with(
         &self,
         query: &blinkdb_sql::ast::Query,
@@ -663,38 +641,10 @@ impl BlinkDb {
         )
     }
 
-    /// Exact execution on the full fact table for the accuracy auditor:
-    /// the same parse → bind → full-resolution vectorized execution as
-    /// [`BlinkDb::query_full_scan`], but with *no* latency simulation —
-    /// and therefore no draw from the shared run-seed stream. `&self`
-    /// plus no seed means an audit can never advance the data epoch or
-    /// shift the jitter seeds of subsequent queries: serving answers
-    /// are bit-identical with auditing on or off. Bound clauses
-    /// (`ERROR`/`WITHIN`) are ignored — ground truth is unconditional.
-    pub fn query_exact_audit(&self, sql: &str) -> Result<QueryAnswer> {
-        let query = blinkdb_sql::parse(sql)?;
-        let bq = bind(&query, &self.catalog())?;
-        execute(
-            &bq,
-            TableRef::full(&self.fact),
-            RateSpec::Exact,
-            &self.dim_refs(),
-            ExecOptions {
-                confidence: self.config.default_confidence,
-                bootstrap: None,
-                vectorized: true,
-            },
-        )
-    }
-
-    /// Exact execution on the full fact table, priced with the given
-    /// engine profile — the "no sampling" baselines of Fig. 6(c).
-    pub fn query_full_scan(
-        &self,
-        sql: &str,
-        engine: &EngineProfile,
-        tier: StorageTier,
-    ) -> Result<ApproxAnswer> {
+    /// Parse → bind → exact vectorized execution over the full fact
+    /// table: the one body behind [`BlinkDb::query_exact_audit`] and
+    /// [`BlinkDb::query_full_scan`].
+    fn execute_exact(&self, sql: &str) -> Result<(BoundQuery, QueryAnswer)> {
         let query = blinkdb_sql::parse(sql)?;
         let bq = bind(&query, &self.catalog())?;
         let answer = execute(
@@ -708,6 +658,30 @@ impl BlinkDb {
                 vectorized: true,
             },
         )?;
+        Ok((bq, answer))
+    }
+
+    /// Exact execution on the full fact table for the accuracy auditor:
+    /// the same parse → bind → full-resolution vectorized execution as
+    /// [`BlinkDb::query_full_scan`], but with *no* latency simulation —
+    /// and therefore no draw from the shared run-seed stream. `&self`
+    /// plus no seed means an audit can never advance the data epoch or
+    /// shift the jitter seeds of subsequent queries: serving answers
+    /// are bit-identical with auditing on or off. Bound clauses
+    /// (`ERROR`/`WITHIN`) are ignored — ground truth is unconditional.
+    pub fn query_exact_audit(&self, sql: &str) -> Result<QueryAnswer> {
+        self.execute_exact(sql).map(|(_, answer)| answer)
+    }
+
+    /// Exact execution on the full fact table, priced with the given
+    /// engine profile — the "no sampling" baselines of Fig. 6(c).
+    pub fn query_full_scan(
+        &self,
+        sql: &str,
+        engine: &EngineProfile,
+        tier: StorageTier,
+    ) -> Result<ApproxAnswer> {
+        let (bq, answer) = self.execute_exact(sql)?;
         let mb = self.fact.logical_bytes() / 1e6;
         let job = SimJob::balanced(mb, &self.config.cluster, tier)
             .with_shuffle((answer.rows.len() as f64 * 128.0) / 1e6);

@@ -22,6 +22,7 @@
 
 use crate::blinkdb::BlinkDb;
 use blinkdb_common::error::Result;
+use blinkdb_common::rng::derive_seed;
 use blinkdb_sql::template::WeightedTemplate;
 use blinkdb_storage::{Residency, SegmentMeta};
 use std::collections::HashMap;
@@ -126,13 +127,20 @@ pub struct IngestMaintenance {
     pub refreshed: Vec<usize>,
 }
 
+/// The RNG seed for folding or refreshing family `idx` at `db`'s current
+/// epoch. Stateless on purpose: WAL replay walks the same epochs as the
+/// live ingest did, so a recovered store draws the same reservoirs —
+/// a counter held in the [`Maintainer`] would restart on recovery.
+fn maintenance_seed(db: &BlinkDb, idx: usize) -> u64 {
+    let epoch_stream = derive_seed(db.config().seed, 0x5EED_F01D ^ db.epoch().get());
+    derive_seed(epoch_stream, idx as u64)
+}
+
 /// Tracks drift and schedules refreshes.
 #[derive(Debug, Clone)]
 pub struct Maintainer {
     /// Drift (total variation) beyond which a family is refreshed.
     pub drift_threshold: f64,
-    /// Seed counter for refresh randomness.
-    next_seed: u64,
     /// Data epoch at each family's last fold/refresh, for the
     /// epochs-stale health gauge (absent = never touched since build).
     last_touched: HashMap<usize, u64>,
@@ -148,7 +156,6 @@ impl Default for Maintainer {
     fn default() -> Self {
         Maintainer {
             drift_threshold: 0.05,
-            next_seed: 1,
             last_touched: HashMap::new(),
             telemetry: None,
         }
@@ -192,10 +199,8 @@ impl Maintainer {
         let action = self.inspect(db)?;
         if let MaintenanceAction::Refresh(stale) = &action {
             for &idx in stale {
-                let seed = self.next_seed;
-                self.next_seed += 1;
                 let start = std::time::Instant::now();
-                db.refresh_family(idx, seed)?;
+                db.refresh_family(idx, maintenance_seed(db, idx))?;
                 if let Some(t) = &self.telemetry {
                     t.histogram("blinkdb_maintenance_refresh_seconds")
                         .observe(start.elapsed().as_secs_f64());
@@ -225,8 +230,7 @@ impl Maintainer {
     ) -> Result<IngestMaintenance> {
         let mut report = IngestMaintenance::default();
         for idx in 0..db.families().len() {
-            let seed = self.next_seed;
-            self.next_seed += 1;
+            let seed = maintenance_seed(db, idx);
             let start = std::time::Instant::now();
             let fold = family_drift(db, idx)? <= self.drift_threshold
                 && db.fold_family(idx, appended.clone(), seed).is_ok();
@@ -301,21 +305,6 @@ impl Maintainer {
         Ok(())
     }
 
-    /// [`Maintainer::fold_or_refresh`] for one freshly-sealed segment —
-    /// the segmented ingest path. A sealed segment is exactly the
-    /// applied batch's row range, so the drift measurement, the seed
-    /// stream, and every fold/refresh decision are identical to calling
-    /// `fold_or_refresh(db, segment.rows)`; this entry point exists so
-    /// callers that think in segments (the service ingest loop) fold
-    /// per sealed segment explicitly.
-    pub fn fold_segment_or_refresh(
-        &mut self,
-        db: &mut BlinkDb,
-        segment: &SegmentMeta,
-    ) -> Result<IngestMaintenance> {
-        self.fold_or_refresh(db, segment.rows.clone())
-    }
-
     /// Workload changed: re-solve the optimizer under the churn budget
     /// `r` (§3.2.3) and rebuild families per the new plan. The churn is
     /// passed through explicitly
@@ -369,13 +358,6 @@ pub struct CompactionReport {
     pub demoted: Vec<usize>,
     /// Demoted families predictively paged back in this tick.
     pub paged_in: Vec<usize>,
-}
-
-impl CompactionReport {
-    /// Whether the tick changed anything at all.
-    pub fn is_noop(&self) -> bool {
-        self.merged.is_none() && self.demoted.is_empty() && self.paged_in.is_empty()
-    }
 }
 
 /// The background segment-lifecycle task (the storage half of §4.5's
@@ -655,34 +637,6 @@ mod tests {
             )
             .unwrap();
         assert!(!plan.selected.is_empty());
-    }
-
-    #[test]
-    fn fold_segment_matches_the_range_fold_bit_for_bit() {
-        let mut via_range = db(1000, 30);
-        let mut via_segment = via_range.clone();
-        let mut m_range = Maintainer::new(0.05);
-        let mut m_segment = Maintainer::new(0.05);
-        let mut batch = rows("NY", 30);
-        batch.extend(rows("Boise", 1));
-
-        let range = via_range.append_rows(&batch).unwrap();
-        m_range.fold_or_refresh(&mut via_range, range).unwrap();
-
-        via_segment.append_rows(&batch).unwrap();
-        let sealed = via_segment.segments().segments().last().unwrap().clone();
-        m_segment
-            .fold_segment_or_refresh(&mut via_segment, &sealed)
-            .unwrap();
-
-        assert_eq!(via_range.epoch(), via_segment.epoch());
-        for (a, b) in via_range.families().iter().zip(via_segment.families()) {
-            assert_eq!(a.freqs, b.freqs, "same seed stream, same reservoirs");
-            assert_eq!(a.source_rows, b.source_rows);
-            for i in 0..a.num_resolutions() {
-                assert_eq!(a.resolution(i).rows, b.resolution(i).rows);
-            }
-        }
     }
 
     #[test]

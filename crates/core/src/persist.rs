@@ -60,9 +60,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// The manifest file name inside a snapshot directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
-/// Manifest payload version. Bumped to 2 when checkpoints became
-/// incremental (segment-sliced fact, segment log in the manifest).
-const MANIFEST_VERSION: u32 = 2;
+/// Manifest payload version. 2: checkpoints became incremental
+/// (segment-sliced fact, segment log in the manifest). 3: whole tables
+/// (dimensions, family tables) are stored as meta + one slice, the
+/// same layout the fact slices use.
+const MANIFEST_VERSION: u32 = 3;
 
 /// Parses the generation prefix of a segment file name (`g<N>-…`).
 fn segment_generation(name: &str) -> Option<u64> {
@@ -421,24 +423,15 @@ impl BlinkDb {
     /// Fsync behaviour follows `BLINKDB_FSYNC`
     /// ([`blinkdb_persist::fsync_default`]).
     pub fn save(&self, dir: impl AsRef<Path>) -> Result<SaveReport> {
-        self.save_with_profiles(dir, &[])
+        self.save_with(dir, &[], blinkdb_persist::fsync_default())
     }
 
     /// [`BlinkDb::save`] plus a set of Error–Latency [`PlanProfile`]
     /// hints (keyed by canonical template string) to keep warm across
-    /// the restart — the service tier persists its ELP cache this way.
-    pub fn save_with_profiles(
-        &self,
-        dir: impl AsRef<Path>,
-        profiles: &[(String, PlanProfile)],
-    ) -> Result<SaveReport> {
-        self.save_with(dir, profiles, blinkdb_persist::fsync_default())
-    }
-
-    /// [`BlinkDb::save_with_profiles`] with an explicit fsync choice,
-    /// for callers (the service's durability layer) whose configuration
-    /// must override the `BLINKDB_FSYNC` environment default: a WAL that
-    /// fsyncs must never be truncated over a snapshot that did not.
+    /// the restart, with an explicit fsync choice — for callers (the
+    /// service's durability layer) whose configuration must override
+    /// the `BLINKDB_FSYNC` environment default: a WAL that fsyncs must
+    /// never be truncated over a snapshot that did not.
     ///
     /// This is a *full* save: every fact slice is rewritten. Callers
     /// checkpointing repeatedly into the same directory should hold a
@@ -647,19 +640,12 @@ impl BlinkDb {
     /// loaded families carry [`Residency::Loaded`]`(Disk)` and price
     /// their scans at disk bandwidth until paged in.
     pub fn open(dir: impl AsRef<Path>) -> Result<BlinkDb> {
-        Self::open_with_profiles(dir).map(|(db, _)| db)
+        Self::open_with_state(dir).map(|(db, _, _)| db)
     }
 
-    /// [`BlinkDb::open`] returning the persisted [`PlanProfile`] hints
-    /// alongside the instance.
-    pub fn open_with_profiles(
-        dir: impl AsRef<Path>,
-    ) -> Result<(BlinkDb, Vec<(String, PlanProfile)>)> {
-        Self::open_with_state(dir).map(|(db, profiles, _)| (db, profiles))
-    }
-
-    /// [`BlinkDb::open_with_profiles`] additionally returning the
-    /// [`CheckpointState`] seeded from the committed manifest, so the
+    /// [`BlinkDb::open`] additionally returning the persisted
+    /// [`PlanProfile`] hints and the [`CheckpointState`] seeded from
+    /// the committed manifest, so the
     /// caller's *next* checkpoint into the same directory is
     /// incremental from the very first save after recovery.
     pub fn open_with_state(dir: impl AsRef<Path>) -> Result<OpenedWorkspace> {
@@ -942,16 +928,14 @@ mod tests {
     fn profiles_round_trip_through_the_manifest() {
         let dir = tmp("profiles");
         let db = fixture_db();
-        let (_, profile) = db
-            .query_profiled(
-                "SELECT COUNT(*) FROM s WHERE city = 'city1' WITHIN 5 SECONDS",
-                None,
-            )
-            .unwrap();
+        let query =
+            blinkdb_sql::parse("SELECT COUNT(*) FROM s WHERE city = 'city1' WITHIN 5 SECONDS")
+                .unwrap();
+        let (_, profile) = db.query_parsed_with(&query, None, None).unwrap();
         let profile = profile.unwrap();
-        db.save_with_profiles(&dir, &[("tmpl".into(), profile.clone())])
+        db.save_with(&dir, &[("tmpl".into(), profile.clone())], false)
             .unwrap();
-        let (back, profiles) = BlinkDb::open_with_profiles(&dir).unwrap();
+        let (back, profiles, _) = BlinkDb::open_with_state(&dir).unwrap();
         assert_eq!(profiles.len(), 1);
         assert_eq!(profiles[0].0, "tmpl");
         let p = &profiles[0].1;
@@ -1079,19 +1063,24 @@ mod tests {
 
     #[test]
     fn open_rejects_an_unsupported_manifest_version() {
-        let dir = tmp("version");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut e = Enc::new();
-        e.u32(1);
-        manifest::commit(dir.join(MANIFEST_FILE), &e.into_bytes(), false).unwrap();
-        let err = match BlinkDb::open(&dir) {
-            Err(e) => e,
-            Ok(_) => panic!("a version-1 manifest must be rejected"),
-        };
-        assert!(
-            err.to_string().contains("unsupported snapshot version"),
-            "{err}"
-        );
+        // v1 predates incremental checkpoints; v2 stored whole tables
+        // in the pre-slice layout `read_table` no longer decodes.
+        for old in [1u32, 2] {
+            let dir = tmp(&format!("version{old}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut e = Enc::new();
+            e.u32(old);
+            manifest::commit(dir.join(MANIFEST_FILE), &e.into_bytes(), false).unwrap();
+            let err = match BlinkDb::open(&dir) {
+                Err(e) => e,
+                Ok(_) => panic!("a version-{old} manifest must be rejected"),
+            };
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported snapshot version {old} (expected 3)")),
+                "{err}"
+            );
+        }
     }
 
     fn blk_names(dir: &Path) -> std::collections::BTreeSet<String> {

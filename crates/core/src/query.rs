@@ -38,7 +38,7 @@ use std::sync::atomic::Ordering;
 
 /// The Error–Latency Profile of one query template, as observed by a
 /// full pipeline run (§4.2). Reusable as a hint for later queries of the
-/// same template via [`BlinkDb::query_profiled`].
+/// same template via [`BlinkDb::query_parsed_with`].
 #[derive(Debug, Clone)]
 pub struct PlanProfile {
     /// Index of the family §4.1 selected.
@@ -98,6 +98,32 @@ impl PlanProfile {
         self.epoch == db.epoch() && self.still_valid(&db.families)
     }
 
+    /// The smallest resolution of the profiled `family` predicted to
+    /// reach error `epsilon`, extrapolating the error `observed` at the
+    /// probe by §4.2's `ε ∝ 1/√n` (the largest resolution when none is
+    /// big enough). `None` when the probe gives no basis to extrapolate
+    /// from.
+    pub fn resolution_for_error(
+        &self,
+        family: &SampleFamily,
+        observed: f64,
+        epsilon: f64,
+    ) -> Option<usize> {
+        let stats = ProbeStats {
+            probe_rows: self.probe_rows,
+            matched_rows: self.matched_rows,
+            max_rel_error: observed,
+        };
+        let n_req = required_rows_for_error(&stats, epsilon).ok()?;
+        let scale = n_req / self.matched_rows.max(1) as f64;
+        let required_size = family.resolution(self.probe_resolution).len() as f64 * scale;
+        Some(
+            (0..family.num_resolutions())
+                .find(|&i| family.resolution(i).len() as f64 >= required_size)
+                .unwrap_or(family.largest()),
+        )
+    }
+
     /// Predicted seconds to scan resolution `idx` of the profiled family.
     pub fn predict_seconds(&self, family: &SampleFamily, idx: usize) -> f64 {
         self.latency
@@ -146,17 +172,10 @@ impl BlinkDb {
     }
 
     /// Jitter-free predicted seconds to scan `pruned` of resolution
-    /// `resolution` of family `family_idx` under the instance's
-    /// [`ExecPolicy`] fan-out — the prediction an admission controller
-    /// needs before committing to run a query.
-    pub fn predict_scan_seconds(&self, family_idx: usize, resolution: usize, pruned: f64) -> f64 {
-        self.predict_scan_seconds_with(family_idx, resolution, pruned, self.config.exec)
-    }
-
-    /// [`BlinkDb::predict_scan_seconds`] under an explicit
-    /// [`ExecPolicy`] — for callers (e.g. a service tier) that execute
-    /// queries with a per-deployment policy override and must predict
-    /// under the same fan-out they will run with.
+    /// `resolution` of family `family_idx` at `policy`'s fan-out — the
+    /// prediction an admission controller needs before committing to
+    /// run a query (a service tier predicts under the same per-deployment
+    /// policy it will execute with).
     pub fn predict_scan_seconds_with(
         &self,
         family_idx: usize,
@@ -173,15 +192,9 @@ impl BlinkDb {
         )
     }
 
-    /// The cheapest possible execution: the smallest resolution of the
-    /// uniform family, scanned in full. A deadline below this is
-    /// unsatisfiable under any plan.
-    pub fn min_feasible_seconds(&self) -> f64 {
-        self.min_feasible_seconds_with(self.config.exec)
-    }
-
-    /// [`BlinkDb::min_feasible_seconds`] under an explicit
-    /// [`ExecPolicy`] override.
+    /// The cheapest possible execution under `policy`: the smallest
+    /// resolution of the uniform family, scanned in full. A deadline
+    /// below this is unsatisfiable under any plan.
     pub fn min_feasible_seconds_with(&self, policy: ExecPolicy) -> f64 {
         let uniform = &self.families[0];
         self.predict_scan_seconds_with(0, uniform.smallest(), 1.0, policy)
@@ -222,7 +235,7 @@ fn bootstrap_spec(db: &BlinkDb, query: &Query, policy: ExecPolicy) -> Option<Boo
     })
 }
 
-/// Entry point used by [`BlinkDb::query_profiled`].
+/// Entry point used by [`BlinkDb::query_parsed_with`].
 pub(crate) fn answer_query(
     db: &BlinkDb,
     query: &Query,
@@ -238,28 +251,19 @@ pub(crate) fn answer_query(
             return answer_disjunctive(db, query, w, policy).map(|a| (a, None));
         }
     }
-    if let Some(h) = hint {
-        if h.fresh_for(db) && hint_applies(query) {
-            if let Some(answer) = answer_with_hint(db, query, bound, h, policy)? {
-                return Ok((answer, None));
-            }
-        }
-    }
-    answer_conjunctive(db, query, bound, None, None, policy)
-}
-
-/// A profile hint only short-circuits bounds it recorded enough state
-/// for: unbounded, time bounds, and *relative* error bounds. (Absolute
-/// error bounds compare against CI half-widths in the answer's units,
-/// which the profile does not carry.)
-fn hint_applies(query: &Query) -> bool {
-    !matches!(
+    // A profile hint only short-circuits bounds it recorded enough state
+    // for: unbounded, time bounds, and *relative* error bounds. (Absolute
+    // error bounds compare against CI half-widths in the answer's units,
+    // which the profile does not carry.)
+    let absolute = matches!(
         query.bound,
         Some(Bound::Error {
             relative: false,
             ..
         })
-    )
+    );
+    let hint = hint.filter(|h| !absolute && h.fresh_for(db));
+    answer_conjunctive(db, query, bound, None, hint, policy)
 }
 
 /// The error bound an incremental partitioned execution may terminate
@@ -536,148 +540,6 @@ fn execute_stage_span(run: &FinalRun, elapsed: f64, mult: f64, replicates: u32) 
     exec
 }
 
-/// The hinted fast path: no family probing, no ELP probe — pick the
-/// resolution from the cached profile and execute once.
-///
-/// Returns `Ok(None)` when the cached plan cannot satisfy the bound
-/// (e.g. a time budget below the family's smallest resolution) and the
-/// full pipeline should run instead.
-fn answer_with_hint(
-    db: &BlinkDb,
-    query: &Query,
-    bound: &BoundQuery,
-    profile: &PlanProfile,
-    policy: ExecPolicy,
-) -> Result<Option<ApproxAnswer>> {
-    // The profile's latency model was fitted at a specific fan-out
-    // width; replayed under a different width its cost surface is wrong
-    // (a WITHIN bound sized from it would not hold). Fall back to the
-    // full pipeline, which re-fits and returns a fresh profile.
-    if profile.partitions != policy.effective_partitions(db.config.cluster.num_nodes) {
-        return Ok(None);
-    }
-    let boot = bootstrap_spec(db, query, policy);
-    // The profile's latency model bakes in the replicate multiplier it
-    // was fitted at; a different effective B under this policy means a
-    // wrong cost surface (a ClosedFormOnly-fitted model replayed under
-    // Auto would undershoot by the whole multiplier). Re-profile.
-    if profile.bootstrap_replicates != boot.map(|s| s.replicates).unwrap_or(0) {
-        return Ok(None);
-    }
-    let family = &db.families[profile.family_idx];
-    let prune = profile.pruned_fraction;
-    // Fitted at the same B (checked above), so only the ad-hoc simulate
-    // calls below need the explicit factor.
-    let mult = bootstrap_cost_multiplier(boot.map(|s| s.replicates).unwrap_or(0));
-    let chosen_idx = match &query.bound {
-        None => family.largest(),
-        Some(Bound::Error { epsilon, .. }) => {
-            let stats = ProbeStats {
-                probe_rows: profile.probe_rows,
-                matched_rows: profile.matched_rows,
-                max_rel_error: profile.max_rel_error,
-            };
-            match required_rows_for_error(&stats, *epsilon) {
-                Ok(n_req) => {
-                    let scale = n_req / profile.matched_rows.max(1) as f64;
-                    let probe_len = family.resolution(profile.probe_resolution).len() as f64;
-                    let required_size = probe_len * scale;
-                    (0..family.num_resolutions())
-                        .find(|&i| family.resolution(i).len() as f64 >= required_size)
-                        .unwrap_or(family.largest())
-                }
-                Err(_) => family.largest(),
-            }
-        }
-        Some(Bound::Time { seconds }) => {
-            let mb_budget = profile.latency.mb_within(*seconds);
-            match (0..family.num_resolutions())
-                .rev()
-                .find(|&i| family.resolution_bytes(i) * prune / 1e6 <= mb_budget)
-            {
-                Some(i) => i,
-                // Cached plan can't meet the budget; let the full
-                // pipeline try other families.
-                None => return Ok(None),
-            }
-        }
-    };
-    let opts = ExecOptions {
-        confidence: db.config.default_confidence,
-        bootstrap: boot,
-        vectorized: !policy.scalar_scan,
-    };
-    let run = execute_final(db, family, chosen_idx, bound, query, opts, policy)?;
-    // Early termination cancels in-flight work: the fan-out width stays
-    // `partitions_total`, only the scanned bytes shrink.
-    let elapsed = mult
-        * db.simulate_scan(
-            family.resolution_bytes(chosen_idx) * prune * run.rows_fraction,
-            family.tier(),
-            run.answer.rows.len(),
-            run.partitions_total.max(1) as usize,
-            db.next_run_seed(),
-        );
-    // The model's jitter-free prediction for the same bytes the final
-    // scan covered — what calibration tracking compares `elapsed_s` to.
-    let predicted_s = profile
-        .latency
-        .predict(family.resolution_bytes(chosen_idx) * prune * run.rows_fraction / 1e6);
-    let rows_read = run.rows_scanned;
-    let method = run.answer.method();
-    let trace = policy.trace.then(|| {
-        let replicates = boot.map(|s| s.replicates).unwrap_or(0);
-        let mut plan_span = TraceSpan::new(SpanKind::Plan, "");
-        plan_span.push(
-            TraceSpan::new(SpanKind::Compile, family.label())
-                .attr("hinted", true)
-                .attr("resolution", chosen_idx)
-                .attr("resolution_cap", family.resolution(chosen_idx).cap)
-                .attr("pruned_fraction", prune)
-                .attr("partitions", run.partitions_total)
-                .attr("replicates", replicates)
-                .attr("scan_path", scan_path_attr(policy)),
-        );
-        plan_span.roll_up_cost();
-        let exec_span = execute_stage_span(&run, elapsed, mult, replicates);
-        let mut root = TraceSpan::new(SpanKind::Query, "")
-            .attr("family", family.label())
-            .attr("epoch", db.epoch().get());
-        root.push(plan_span);
-        root.push(exec_span);
-        root.roll_up_cost();
-        Box::new(QueryTrace::new(root))
-    });
-    Ok(Some(ApproxAnswer {
-        answer: run.answer,
-        elapsed_s: elapsed,
-        probe_s: 0.0,
-        family: family.label(),
-        qcs: bound.qcs(),
-        predicted_s,
-        resolution_cap: family.resolution(chosen_idx).cap,
-        rows_read,
-        sample_fraction: rows_read as f64 / db.fact.num_rows().max(1) as f64,
-        partitions_total: run.partitions_total,
-        partitions_scanned: run.partitions_scanned,
-        method,
-        trace,
-    }))
-}
-
-/// The scan path the executor will take under `policy`, as recorded on
-/// the Compile trace span: `"scalar"` when the policy or the
-/// `BLINKDB_SCALAR_SCAN` escape hatch forces the row-at-a-time oracle,
-/// `"vectorized"` otherwise (joined queries still fall back to scalar
-/// inside the executor).
-fn scan_path_attr(policy: ExecPolicy) -> &'static str {
-    if policy.scalar_scan || blinkdb_exec::scalar_scan_forced() {
-        "scalar"
-    } else {
-        "vectorized"
-    }
-}
-
 fn aggregates_mergeable(query: &Query) -> bool {
     query
         .aggregates()
@@ -749,314 +611,349 @@ fn answer_disjunctive(
     Ok(merged)
 }
 
-/// The conjunctive pipeline: family selection (§4.1.1), ELP (§4.2),
-/// final execution. Returns the answer plus the observed [`PlanProfile`].
+/// What the plan stage hands the execute stage besides the
+/// [`PlanProfile`]: the ELP probe's answer — reused as the final answer
+/// when the chosen resolution is the one it ran on (§4.4) — and what the
+/// probes cost. The hinted path skips the plan stage and starts from
+/// `Probed::default()`.
+#[derive(Default)]
+struct Probed {
+    answer: Option<QueryAnswer>,
+    cost_s: f64,
+    /// One span per probe in `cost_s` accumulation order, so the plan
+    /// stage's rolled-up cost equals `cost_s` bit-exactly. Filled only
+    /// under [`ExecPolicy::trace`].
+    spans: Vec<TraceSpan>,
+}
+
+/// The per-query constants every stage of the conjunctive pipeline
+/// prices and executes with.
+struct Conjunctive<'a> {
+    db: &'a BlinkDb,
+    query: &'a Query,
+    bound: &'a BoundQuery,
+    opts: ExecOptions,
+    policy: ExecPolicy,
+    /// Bootstrap replicate count `B` (`0` = closed form only).
+    replicates: u32,
+    /// The B-replicate cost multiplier. It rides every simulated cost of
+    /// the query — probes, the fitted latency model, the final scan — so
+    /// the whole ELP surface prices the bootstrap work.
+    mult: f64,
+    /// The fan-out width every scan of this query is priced at: the ELP's
+    /// latency model and the final execution must see the same cost
+    /// surface, or a WITHIN bound chosen from the model would not hold.
+    partitions: usize,
+}
+
+/// The conjunctive pipeline: *plan* (family selection §4.1.1 + ELP
+/// §4.2, or a cached profile replayed as a hint), *choose* a resolution,
+/// *run* it. Returns the answer plus the [`PlanProfile`] when the plan
+/// stage ran.
 fn answer_conjunctive(
     db: &BlinkDb,
     query: &Query,
     bound: &BoundQuery,
     phi_override: Option<ColumnSet>,
-    forced_family: Option<usize>,
+    hint: Option<&PlanProfile>,
     policy: ExecPolicy,
 ) -> Result<(ApproxAnswer, Option<PlanProfile>)> {
-    let phi = phi_override.clone().unwrap_or_else(|| template_of(query));
-    let dims = db.dim_refs();
     let boot = bootstrap_spec(db, query, policy);
-    // The B-replicate cost multiplier rides every simulated cost of this
-    // query — probes, the fitted latency model, the final scan — so the
-    // whole ELP surface prices the bootstrap work.
-    let mult = bootstrap_cost_multiplier(boot.map(|s| s.replicates).unwrap_or(0));
-    let opts = ExecOptions {
-        confidence: db.config.default_confidence,
-        bootstrap: boot,
-        vectorized: !policy.scalar_scan,
+    let replicates = boot.map(|s| s.replicates).unwrap_or(0);
+    let stage = Conjunctive {
+        db,
+        query,
+        bound,
+        opts: ExecOptions {
+            confidence: db.config.default_confidence,
+            bootstrap: boot,
+            vectorized: !policy.scalar_scan,
+        },
+        policy,
+        replicates,
+        mult: bootstrap_cost_multiplier(replicates),
+        partitions: policy.effective_partitions(db.config.cluster.num_nodes),
     };
-    // The fan-out width every scan of this query is priced at: the ELP's
-    // latency model and the final execution must see the same cost
-    // surface, or a WITHIN bound chosen from the model would not hold.
-    let partitions = policy.effective_partitions(db.config.cluster.num_nodes);
-
-    // ---- Family selection ----
-    let mut probe_s = 0.0;
-    // Probe spans accumulate in the same order as `probe_s` increments,
-    // so the plan stage's rolled-up cost equals `probe_s` bit-exactly.
-    let mut probe_spans: Vec<TraceSpan> = Vec::new();
-    let mut probe_cache: HashMap<(usize, usize), QueryAnswer> = HashMap::new();
-    let family_idx = match forced_family.or_else(|| pick_superset_family(&db.families, &phi)) {
-        Some(idx) => idx,
-        None => {
-            // Probe the smallest resolution of every family; pick the
-            // highest selected/read ratio (§4.1.1). Ratios within 5%
-            // of the best are statistical ties; among tied families
-            // prefer the one whose (pruned) smallest resolution is
-            // cheapest to scan — the response-time side of the ELP.
-            let mut probes: Vec<(usize, f64, f64)> = Vec::new();
-            for (fi, fam) in db.families.iter().enumerate() {
-                let (view, rates) = fam.view(fam.smallest());
-                let ans = execute(bound, view, rates, &dims, opts)?;
-                let prune = pruned_fraction(db, fam, bound, query, fam.smallest());
-                let bytes = fam.resolution_bytes(fam.smallest()) * prune;
-                let cost = mult
-                    * db.simulate_scan(
-                        bytes,
-                        fam.tier(),
-                        ans.rows.len(),
-                        partitions,
-                        db.next_run_seed(),
-                    );
-                probe_s += cost;
-                let ratio = ans.selectivity();
-                if policy.trace {
-                    probe_spans.push(
-                        TraceSpan::new(SpanKind::Probe, fam.label())
-                            .with_cost(cost)
-                            .attr("resolution", fam.smallest())
-                            .attr("rows_scanned", ans.rows_scanned)
-                            .attr("rows_matched", ans.rows_matched)
-                            .attr("selectivity", ratio),
-                    );
-                }
-                probe_cache.insert((fi, fam.smallest()), ans);
-                probes.push((fi, ratio, bytes));
-            }
-            let best_ratio = probes.iter().map(|&(_, r, _)| r).fold(0.0, f64::max);
-            probes
-                .into_iter()
-                .filter(|&(_, r, _)| r >= best_ratio - 0.05)
-                .min_by(|a, b| a.2.total_cmp(&b.2))
-                .map(|(fi, _, _)| fi)
-                .ok_or_else(|| BlinkError::internal("no sample families available"))?
-        }
-    };
-    let family = &db.families[family_idx];
-    // Clustered-layout pruning (§3.1): the fraction of each resolution a
-    // φ-filtered query physically reads.
-    let prune = pruned_fraction(db, family, bound, query, family.smallest());
-
-    // ---- ELP probe on the smallest resolution ----
-    let mut probe_idx = family.smallest();
-    let mut probe_ans = match probe_cache.remove(&(family_idx, probe_idx)) {
-        Some(a) => a,
-        None => {
-            let (view, rates) = family.view(probe_idx);
-            let a = execute(bound, view, rates, &dims, opts)?;
-            let cost = mult
-                * db.simulate_scan(
-                    family.resolution_bytes(probe_idx) * prune,
-                    family.tier(),
-                    a.rows.len(),
-                    partitions,
-                    db.next_run_seed(),
-                );
-            probe_s += cost;
-            if policy.trace {
-                probe_spans.push(
-                    TraceSpan::new(SpanKind::Probe, family.label())
-                        .with_cost(cost)
-                        .attr("resolution", probe_idx)
-                        .attr("rows_scanned", a.rows_scanned)
-                        .attr("rows_matched", a.rows_matched)
-                        .attr("selectivity", a.selectivity()),
-                );
-            }
-            a
-        }
-    };
-    // Escalate past empty probes (very selective queries).
-    while probe_ans.rows_matched == 0 && probe_idx + 1 < family.num_resolutions() {
-        probe_idx += 1;
-        let (view, rates) = family.view(probe_idx);
-        probe_ans = execute(bound, view, rates, &dims, opts)?;
-        let cost = mult
-            * db.simulate_scan(
-                family.resolution_bytes(probe_idx) * prune,
-                family.tier(),
-                probe_ans.rows.len(),
-                partitions,
-                db.next_run_seed(),
-            );
-        probe_s += cost;
-        if policy.trace {
-            probe_spans.push(
-                TraceSpan::new(SpanKind::Probe, family.label())
-                    .with_cost(cost)
-                    .attr("resolution", probe_idx)
-                    .attr("rows_scanned", probe_ans.rows_scanned)
-                    .attr("rows_matched", probe_ans.rows_matched)
-                    .attr("selectivity", probe_ans.selectivity())
-                    .attr("escalated", true),
-            );
+    // A hint's latency model was fitted at one fan-out width and bakes in
+    // one replicate multiplier; replayed under another its cost surface
+    // is wrong (a WITHIN bound sized from it would not hold), so the full
+    // pipeline re-fits instead.
+    let hint =
+        hint.filter(|h| h.partitions == stage.partitions && h.bootstrap_replicates == replicates);
+    if let Some(h) = hint {
+        // `None`: the cached plan can't meet the time budget; let the
+        // full pipeline try other families.
+        if let Some(idx) = stage.choose(h, None) {
+            return stage.run(h, idx, Probed::default()).map(|a| (a, None));
         }
     }
 
-    // ---- Latency model (always fitted: the Time path consumes it and
-    // the PlanProfile carries it for later hinted runs). Fitted at the
-    // policy's fan-out width, so predictions include parallel speedup;
-    // fitted ×mult, so a bootstrapped template's model prices its
-    // replicate work everywhere it is consumed (including cached-profile
-    // replays and service-side degradation) ----
-    let latency_model = {
-        let i0 = family.smallest();
-        let i1 = (i0 + 1).min(family.largest());
-        let mb0 = family.resolution_bytes(i0) * prune / 1e6;
-        let mb1 = family.resolution_bytes(i1) * prune / 1e6;
-        let t0 = mult
-            * db.simulate_scan_quiet(
-                family.resolution_bytes(i0) * prune,
-                family.tier(),
-                partitions,
-            );
-        let t1 = mult
-            * db.simulate_scan_quiet(
-                family.resolution_bytes(i1) * prune,
-                family.tier(),
-                partitions,
-            );
-        fit_latency_model(mb0, t0, mb1, t1)
-    };
+    let phi = phi_override.unwrap_or_else(|| template_of(query));
+    let (mut profile, mut probed) = stage.plan(&phi, None)?;
+    let mut chosen = stage.choose(&profile, probed.answer.as_ref());
+    if chosen.is_none() && profile.family_idx != 0 {
+        // Even the smallest resolution of this family blows the time
+        // budget. The uniform family's ladder reaches much smaller
+        // sizes; retry there (the §4.2 "best answer within t" contract
+        // beats §4.1.1's family preference).
+        (profile, probed) = stage.plan(&phi, Some(0))?;
+        chosen = stage.choose(&profile, probed.answer.as_ref());
+    }
+    let chosen_idx = chosen.unwrap_or(db.families[profile.family_idx].smallest());
+    let answer = stage.run(&profile, chosen_idx, probed)?;
+    Ok((answer, Some(profile)))
+}
 
-    // ---- Resolution choice ----
-    let chosen_idx = match &query.bound {
-        None => family.largest(),
-        Some(Bound::Error {
-            epsilon, relative, ..
-        }) => {
-            let e_probe = if *relative {
-                probe_ans.max_relative_error()
+impl Conjunctive<'_> {
+    /// One ELP probe: runs the query on resolution `idx` of `fam`,
+    /// prices the scan (one jitter-seed draw), and books cost and span
+    /// on `probed`.
+    fn probe(
+        &self,
+        dims: &HashMap<String, &blinkdb_storage::Table>,
+        fam: &SampleFamily,
+        idx: usize,
+        prune: f64,
+        escalated: bool,
+        probed: &mut Probed,
+    ) -> Result<QueryAnswer> {
+        let (view, rates) = fam.view(idx);
+        let ans = execute(self.bound, view, rates, dims, self.opts)?;
+        let cost = self.mult
+            * self.db.simulate_scan(
+                fam.resolution_bytes(idx) * prune,
+                fam.tier(),
+                ans.rows.len(),
+                self.partitions,
+                self.db.next_run_seed(),
+            );
+        probed.cost_s += cost;
+        if self.policy.trace {
+            let mut span = TraceSpan::new(SpanKind::Probe, fam.label())
+                .with_cost(cost)
+                .attr("resolution", idx)
+                .attr("rows_scanned", ans.rows_scanned)
+                .attr("rows_matched", ans.rows_matched)
+                .attr("selectivity", ans.selectivity());
+            if escalated {
+                span = span.attr("escalated", true);
+            }
+            probed.spans.push(span);
+        }
+        Ok(ans)
+    }
+
+    /// The plan stage: family selection (§4.1.1), the ELP probe with
+    /// escalation past empty probes, and the latency-model fit (§4.2).
+    fn plan(&self, phi: &ColumnSet, forced_family: Option<usize>) -> Result<(PlanProfile, Probed)> {
+        let db = self.db;
+        let dims = db.dim_refs();
+        let mut probed = Probed::default();
+
+        let selected = forced_family.or_else(|| pick_superset_family(&db.families, phi));
+        let (family_idx, selection_probe) = match selected {
+            Some(idx) => (idx, None),
+            None => {
+                // Probe the smallest resolution of every family; pick the
+                // highest selected/read ratio (§4.1.1). Ratios within 5%
+                // of the best are statistical ties; among tied families
+                // prefer the one whose (pruned) smallest resolution is
+                // cheapest to scan — the response-time side of the ELP.
+                let mut probes: Vec<(usize, f64, f64, QueryAnswer)> = Vec::new();
+                for (fi, fam) in db.families.iter().enumerate() {
+                    let prune = pruned_fraction(fam, self.bound, self.query, fam.smallest());
+                    let ans = self.probe(&dims, fam, fam.smallest(), prune, false, &mut probed)?;
+                    let bytes = fam.resolution_bytes(fam.smallest()) * prune;
+                    probes.push((fi, ans.selectivity(), bytes, ans));
+                }
+                let best_ratio = probes.iter().map(|p| p.1).fold(0.0, f64::max);
+                probes
+                    .into_iter()
+                    .filter(|p| p.1 >= best_ratio - 0.05)
+                    .min_by(|a, b| a.2.total_cmp(&b.2))
+                    .map(|(fi, _, _, ans)| (fi, Some(ans)))
+                    .ok_or_else(|| BlinkError::internal("no sample families available"))?
+            }
+        };
+        let family = &db.families[family_idx];
+        // Clustered-layout pruning (§3.1): the fraction of each resolution a
+        // φ-filtered query physically reads.
+        let prune = pruned_fraction(family, self.bound, self.query, family.smallest());
+
+        // ---- ELP probe on the smallest resolution (the selection probe
+        // already ran there), escalating past empty probes (very
+        // selective queries) ----
+        let mut probe_idx = family.smallest();
+        let mut probe_ans = match selection_probe {
+            Some(a) => a,
+            None => self.probe(&dims, family, probe_idx, prune, false, &mut probed)?,
+        };
+        while probe_ans.rows_matched == 0 && probe_idx + 1 < family.num_resolutions() {
+            probe_idx += 1;
+            probe_ans = self.probe(&dims, family, probe_idx, prune, true, &mut probed)?;
+        }
+
+        // ---- Latency model. Fitted at the policy's fan-out width, so
+        // predictions include parallel speedup; fitted ×mult, so a
+        // bootstrapped template's model prices its replicate work
+        // everywhere it is consumed (including cached-profile replays
+        // and service-side degradation) ----
+        let latency = {
+            let i0 = family.smallest();
+            let i1 = (i0 + 1).min(family.largest());
+            let b0 = family.resolution_bytes(i0) * prune;
+            let b1 = family.resolution_bytes(i1) * prune;
+            let t0 = self.mult * db.simulate_scan_quiet(b0, family.tier(), self.partitions);
+            let t1 = self.mult * db.simulate_scan_quiet(b1, family.tier(), self.partitions);
+            fit_latency_model(b0 / 1e6, t0, b1 / 1e6, t1)
+        };
+
+        let profile = PlanProfile {
+            family_idx,
+            family_label: family.label(),
+            probe_resolution: probe_idx,
+            probe_rows: probe_ans.rows_scanned,
+            matched_rows: probe_ans.rows_matched,
+            max_rel_error: probe_ans.max_relative_error(),
+            latency,
+            pruned_fraction: prune,
+            partitions: self.partitions,
+            bootstrap_replicates: self.replicates,
+            epoch: db.epoch(),
+        };
+        probed.answer = Some(probe_ans);
+        Ok((profile, probed))
+    }
+
+    /// Resolution choice (§4.2) from a profile — freshly planned (with
+    /// its probe answer) or replayed as a hint (`probe` is `None`).
+    /// `None` means no resolution of the profiled family fits a time
+    /// budget.
+    fn choose(&self, profile: &PlanProfile, probe: Option<&QueryAnswer>) -> Option<usize> {
+        let family = &self.db.families[profile.family_idx];
+        match &self.query.bound {
+            None => Some(family.largest()),
+            Some(Bound::Error {
+                epsilon, relative, ..
+            }) => {
+                // An absolute bound extrapolates from the probe's widest
+                // CI half-width (the answer's own units), which a profile
+                // does not carry — absolute bounds are never hinted.
+                let observed = match probe {
+                    Some(p) if !*relative => p
+                        .rows
+                        .iter()
+                        .flat_map(|r| r.aggs.iter())
+                        .map(|a| a.ci_half_width(p.confidence))
+                        .fold(0.0, f64::max),
+                    _ => profile.max_rel_error,
+                };
+                Some(
+                    profile
+                        .resolution_for_error(family, observed, *epsilon)
+                        .unwrap_or(family.largest()),
+                )
+            }
+            Some(Bound::Time { seconds }) => {
+                let mb_budget = profile.latency.mb_within(*seconds);
+                (0..family.num_resolutions()).rev().find(|&i| {
+                    family.resolution_bytes(i) * profile.pruned_fraction / 1e6 <= mb_budget
+                })
+            }
+        }
+    }
+
+    /// The execute stage: run the chosen resolution (§4.4 reuses the
+    /// probe when it already ran there; otherwise the partitioned
+    /// parallel driver fans it out), price it, and assemble the answer.
+    fn run(
+        &self,
+        profile: &PlanProfile,
+        chosen_idx: usize,
+        probed: Probed,
+    ) -> Result<ApproxAnswer> {
+        let db = self.db;
+        let family = &db.families[profile.family_idx];
+        let hinted = probed.answer.is_none();
+        let probe_reused = !hinted && chosen_idx == profile.probe_resolution;
+        let run = match probed.answer {
+            Some(answer) if probe_reused => FinalRun {
+                answer,
+                // The probe already covered the whole resolution; the
+                // cluster still fanned it out at the policy's width.
+                partitions_total: self.partitions as u32,
+                partitions_scanned: self.partitions as u32,
+                rows_scanned: family.resolution(chosen_idx).len() as u64,
+                rows_fraction: 1.0,
+                // No per-partition partials exist; the trace builder
+                // synthesizes an even split over the fan-out width.
+                partition_stats: None,
+                wave_checks: Vec::new(),
+            },
+            _ => execute_final(
+                db,
+                family,
+                chosen_idx,
+                self.bound,
+                self.query,
+                self.opts,
+                self.policy,
+            )?,
+        };
+        // Early termination cancels in-flight work: the fan-out width stays
+        // `partitions_total`, only the scanned bytes shrink.
+        let scanned_bytes =
+            family.resolution_bytes(chosen_idx) * profile.pruned_fraction * run.rows_fraction;
+        let elapsed = self.mult
+            * db.simulate_scan(
+                scanned_bytes,
+                family.tier(),
+                run.answer.rows.len(),
+                run.partitions_total.max(1) as usize,
+                db.next_run_seed(),
+            );
+        // The model's jitter-free prediction for the same bytes the final
+        // scan covered — what calibration tracking compares `elapsed_s` to.
+        let predicted_s = profile.latency.predict(scanned_bytes / 1e6);
+        let rows_read = run.rows_scanned;
+        let method = run.answer.method();
+        let trace = self.policy.trace.then(|| {
+            let mut plan_span = TraceSpan::new(SpanKind::Plan, "");
+            for span in probed.spans {
+                plan_span.push(span);
+            }
+            let scan_path = if self.policy.scalar_scan {
+                "scalar"
             } else {
-                probe_ans
-                    .rows
-                    .iter()
-                    .flat_map(|r| r.aggs.iter())
-                    .map(|a| a.ci_half_width(probe_ans.confidence))
-                    .fold(0.0, f64::max)
+                "vectorized"
             };
-            let stats = ProbeStats {
-                probe_rows: probe_ans.rows_scanned,
-                matched_rows: probe_ans.rows_matched,
-                max_rel_error: e_probe,
-            };
-            match required_rows_for_error(&stats, *epsilon) {
-                Ok(n_req) => {
-                    let scale = n_req / probe_ans.rows_matched.max(1) as f64;
-                    let required_size = family.resolution(probe_idx).len() as f64 * scale;
-                    (0..family.num_resolutions())
-                        .find(|&i| family.resolution(i).len() as f64 >= required_size)
-                        .unwrap_or(family.largest())
-                }
-                Err(_) => family.largest(),
-            }
-        }
-        Some(Bound::Time { seconds }) => {
-            let mb_budget = latency_model.mb_within(*seconds);
-            match (0..family.num_resolutions())
-                .rev()
-                .find(|&i| family.resolution_bytes(i) * prune / 1e6 <= mb_budget)
-            {
-                Some(i) => i,
-                None => {
-                    // Even the smallest resolution of this family blows
-                    // the budget. The uniform family's ladder reaches
-                    // much smaller sizes; retry there (the §4.2 "best
-                    // answer within t" contract beats §4.1.1's family
-                    // preference).
-                    if family_idx != 0 && forced_family.is_none() {
-                        return answer_conjunctive(db, query, bound, phi_override, Some(0), policy);
-                    }
-                    family.smallest()
-                }
-            }
-        }
-    };
-
-    // Capture probe statistics before the probe answer may be consumed
-    // as the final answer below.
-    let profile = PlanProfile {
-        family_idx,
-        family_label: family.label(),
-        probe_resolution: probe_idx,
-        probe_rows: probe_ans.rows_scanned,
-        matched_rows: probe_ans.rows_matched,
-        max_rel_error: probe_ans.max_relative_error(),
-        latency: latency_model,
-        pruned_fraction: prune,
-        partitions,
-        bootstrap_replicates: boot.map(|s| s.replicates).unwrap_or(0),
-        epoch: db.epoch(),
-    };
-
-    // ---- Final execution (§4.4 reuses the probe when it already ran on
-    // the chosen resolution; otherwise the partitioned parallel driver
-    // fans the chosen resolution out) ----
-    let run = if chosen_idx == probe_idx {
-        // The probe already covered the whole resolution; the cluster
-        // still fanned it out at the policy's width.
-        let rows_scanned = family.resolution(chosen_idx).len() as u64;
-        FinalRun {
-            answer: probe_ans,
-            partitions_total: partitions as u32,
-            partitions_scanned: partitions as u32,
-            rows_scanned,
-            rows_fraction: 1.0,
-            // No per-partition partials exist; the trace builder
-            // synthesizes an even split over the fan-out width.
-            partition_stats: None,
-            wave_checks: Vec::new(),
-        }
-    } else {
-        execute_final(db, family, chosen_idx, bound, query, opts, policy)?
-    };
-    // Early termination cancels in-flight work: the fan-out width stays
-    // `partitions_total`, only the scanned bytes shrink.
-    let elapsed = mult
-        * db.simulate_scan(
-            family.resolution_bytes(chosen_idx) * prune * run.rows_fraction,
-            family.tier(),
-            run.answer.rows.len(),
-            run.partitions_total.max(1) as usize,
-            db.next_run_seed(),
-        );
-    // The freshly-fitted model's jitter-free prediction for the bytes
-    // the final scan covered — recorded on the answer so calibration
-    // tracking can compare it to the jittered `elapsed_s`.
-    let predicted_s = latency_model
-        .predict(family.resolution_bytes(chosen_idx) * prune * run.rows_fraction / 1e6);
-    let rows_read = run.rows_scanned;
-    let method = run.answer.method();
-    let trace = policy.trace.then(|| {
-        let replicates = boot.map(|s| s.replicates).unwrap_or(0);
-        let mut plan_span = TraceSpan::new(SpanKind::Plan, "");
-        for span in probe_spans {
-            plan_span.push(span);
-        }
-        plan_span.push(
-            TraceSpan::new(SpanKind::Compile, family.label())
-                .attr("hinted", false)
-                .attr("resolution", chosen_idx)
-                .attr("resolution_cap", family.resolution(chosen_idx).cap)
-                .attr("pruned_fraction", prune)
-                .attr("partitions", run.partitions_total)
-                .attr("replicates", replicates)
-                .attr("probe_reused", chosen_idx == probe_idx)
-                .attr("scan_path", scan_path_attr(policy)),
-        );
-        plan_span.roll_up_cost();
-        let exec_span = execute_stage_span(&run, elapsed, mult, replicates);
-        let mut root = TraceSpan::new(SpanKind::Query, "")
-            .attr("family", family.label())
-            .attr("epoch", db.epoch().get());
-        root.push(plan_span);
-        root.push(exec_span);
-        root.roll_up_cost();
-        Box::new(QueryTrace::new(root))
-    });
-    Ok((
-        ApproxAnswer {
+            plan_span.push(
+                TraceSpan::new(SpanKind::Compile, family.label())
+                    .attr("hinted", hinted)
+                    .attr("resolution", chosen_idx)
+                    .attr("resolution_cap", family.resolution(chosen_idx).cap)
+                    .attr("pruned_fraction", profile.pruned_fraction)
+                    .attr("partitions", run.partitions_total)
+                    .attr("replicates", self.replicates)
+                    .attr("probe_reused", probe_reused)
+                    .attr("scan_path", scan_path),
+            );
+            plan_span.roll_up_cost();
+            let exec_span = execute_stage_span(&run, elapsed, self.mult, self.replicates);
+            let mut root = TraceSpan::new(SpanKind::Query, "")
+                .attr("family", family.label())
+                .attr("epoch", db.epoch().get());
+            root.push(plan_span);
+            root.push(exec_span);
+            root.roll_up_cost();
+            Box::new(QueryTrace::new(root))
+        });
+        Ok(ApproxAnswer {
             answer: run.answer,
             elapsed_s: elapsed,
-            probe_s,
+            probe_s: probed.cost_s,
             family: family.label(),
-            qcs: bound.qcs(),
+            qcs: self.bound.qcs(),
             predicted_s,
             resolution_cap: family.resolution(chosen_idx).cap,
             rows_read,
@@ -1065,9 +962,8 @@ fn answer_conjunctive(
             partitions_scanned: run.partitions_scanned,
             method,
             trace,
-        },
-        Some(profile),
-    ))
+        })
+    }
 }
 
 /// Fraction of a stratified resolution a query must physically read.
@@ -1082,7 +978,6 @@ fn answer_conjunctive(
 /// each disjunct's φ-only conjuncts (a disjunct with no φ predicate
 /// forces a full scan).
 fn pruned_fraction(
-    _db: &BlinkDb,
     family: &SampleFamily,
     bound: &BoundQuery,
     query: &Query,
@@ -1303,6 +1198,14 @@ mod tests {
     use blinkdb_sql::template::WeightedTemplate;
     use blinkdb_storage::Table;
 
+    fn profiled(
+        db: &BlinkDb,
+        sql: &str,
+        hint: Option<&PlanProfile>,
+    ) -> Result<(ApproxAnswer, Option<PlanProfile>)> {
+        db.query_parsed_with(&blinkdb_sql::parse(sql)?, hint, None)
+    }
+
     fn fixture_db() -> BlinkDb {
         let schema = Schema::new(vec![
             Field::new("city", DataType::Str),
@@ -1339,12 +1242,12 @@ mod tests {
     fn profile_roundtrip_skips_probes() {
         let db = fixture_db();
         let sql = "SELECT COUNT(*) FROM s WHERE city = 'city3' WITHIN 5 SECONDS";
-        let (cold, profile) = db.query_profiled(sql, None).unwrap();
+        let (cold, profile) = profiled(&db, sql, None).unwrap();
         let profile = profile.expect("conjunctive run must yield a profile");
         assert!(profile.still_valid(db.families()));
 
         let sql2 = "SELECT COUNT(*) FROM s WHERE city = 'city7' WITHIN 5 SECONDS";
-        let (warm, refreshed) = db.query_profiled(sql2, Some(&profile)).unwrap();
+        let (warm, refreshed) = profiled(&db, sql2, Some(&profile)).unwrap();
         assert!(refreshed.is_none(), "hinted run returns no new profile");
         assert_eq!(warm.family, cold.family);
         assert_eq!(warm.probe_s, 0.0, "hint must skip ELP probes");
@@ -1357,10 +1260,10 @@ mod tests {
     fn stale_profile_falls_back_to_full_pipeline() {
         let db = fixture_db();
         let sql = "SELECT COUNT(*) FROM s WHERE city = 'city3' WITHIN 5 SECONDS";
-        let (_, profile) = db.query_profiled(sql, None).unwrap();
+        let (_, profile) = profiled(&db, sql, None).unwrap();
         let mut stale = profile.unwrap();
         stale.family_label = "[somewhere-else]".into();
-        let (ans, fresh) = db.query_profiled(sql, Some(&stale)).unwrap();
+        let (ans, fresh) = profiled(&db, sql, Some(&stale)).unwrap();
         assert!(fresh.is_some(), "full pipeline must run on a stale hint");
         assert!(ans.answer.rows[0].aggs[0].estimate > 0.0);
     }
@@ -1372,7 +1275,7 @@ mod tests {
     fn profile_from_older_epoch_falls_back_to_full_pipeline() {
         let mut db = fixture_db();
         let sql = "SELECT COUNT(*) FROM s WHERE city = 'city3' WITHIN 5 SECONDS";
-        let (_, profile) = db.query_profiled(sql, None).unwrap();
+        let (_, profile) = profiled(&db, sql, None).unwrap();
         let profile = profile.unwrap();
         assert!(profile.fresh_for(&db));
         let batch: Vec<Vec<Value>> = (0..100)
@@ -1388,7 +1291,7 @@ mod tests {
             profile.still_valid(db.families()),
             "shape check alone would wrongly accept it"
         );
-        let (ans, fresh) = db.query_profiled(sql, Some(&profile)).unwrap();
+        let (ans, fresh) = profiled(&db, sql, Some(&profile)).unwrap();
         assert!(
             fresh.is_some(),
             "full pipeline must re-run and re-fit on a stale-epoch hint"
@@ -1403,8 +1306,8 @@ mod tests {
     fn hinted_unbounded_uses_largest_resolution() {
         let db = fixture_db();
         let sql = "SELECT COUNT(*) FROM s WHERE city = 'city3'";
-        let (cold, profile) = db.query_profiled(sql, None).unwrap();
-        let (warm, _) = db.query_profiled(sql, profile.as_ref()).unwrap();
+        let (cold, profile) = profiled(&db, sql, None).unwrap();
+        let (warm, _) = profiled(&db, sql, profile.as_ref()).unwrap();
         assert_eq!(warm.resolution_cap, cold.resolution_cap);
         assert_eq!(warm.rows_read, cold.rows_read);
     }

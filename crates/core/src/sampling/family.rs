@@ -3,7 +3,7 @@
 use blinkdb_common::error::{BlinkError, Result};
 use blinkdb_exec::RateSpec;
 use blinkdb_sql::template::ColumnSet;
-use blinkdb_storage::{PartitionedTable, Residency, SegmentDeal, StorageTier, Table, TableRef};
+use blinkdb_storage::{PartitionedTable, Residency, StorageTier, Table, TableRef};
 
 /// Parameters for building a family.
 #[derive(Debug, Clone, Copy)]
@@ -235,28 +235,12 @@ impl SampleFamily {
         }
         // Stratum run ids were precomputed at build time; project them
         // onto the resolution's rows.
-        assert!(k > 0, "partition count must be positive");
         let ids: Vec<u32> = res
             .rows
             .iter()
             .map(|&r| self.stratum_ids[r as usize])
             .collect();
-        #[cfg(debug_assertions)]
-        {
-            let mut seen = std::collections::HashSet::new();
-            for run in ids.chunk_by(|a, b| a == b) {
-                debug_assert!(
-                    seen.insert(run[0]),
-                    "stratum ids must arrive as consecutive runs"
-                );
-            }
-        }
-        // Deal through the segmented builder — the same construction
-        // sealed segments use, pinned bit-identical to the monolithic
-        // `stratum_aligned` deal by the blinkdb-storage tests.
-        let mut deal = SegmentDeal::new(k.min(res.rows.len()).max(1));
-        deal.seal_segment(&res.rows, &ids);
-        deal.into_partitioned()
+        PartitionedTable::stratum_aligned(&res.rows, &ids, k)
     }
 
     /// Simulated bytes of a resolution.

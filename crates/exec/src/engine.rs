@@ -61,9 +61,8 @@ pub struct ExecOptions {
     /// Whether scans may take the vectorized columnar kernel path
     /// (chunked predicate bitmaps + run-length aggregation). On by
     /// default; the kernel is pinned bit-identical to the scalar path,
-    /// so this flag only trades speed. `false` — or the
-    /// `BLINKDB_SCALAR_SCAN=1` environment escape hatch — forces the
-    /// row-at-a-time oracle. Joined queries always use the scalar path.
+    /// so this flag only trades speed. `false` forces the row-at-a-time
+    /// oracle. Joined queries always use the scalar path.
     pub vectorized: bool,
 }
 

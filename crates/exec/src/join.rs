@@ -40,11 +40,6 @@ impl DimIndex {
         }
         self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
 }
 
 /// Enumerates the cross product of per-dimension match lists.
@@ -95,7 +90,6 @@ mod tests {
         let idx = DimIndex::build(&d, 0);
         assert_eq!(idx.probe(&Value::str("SF")), &[1]);
         assert_eq!(idx.probe(&Value::str("Boston")), &[] as &[u32]);
-        assert_eq!(idx.distinct_keys(), 3);
     }
 
     #[test]
@@ -112,7 +106,6 @@ mod tests {
         t.push_row(&[Value::Int(1)]).unwrap();
         t.push_row(&[Value::Null]).unwrap();
         let idx = DimIndex::build(&t, 0);
-        assert_eq!(idx.distinct_keys(), 1);
         assert_eq!(idx.probe(&Value::Null), &[] as &[u32]);
     }
 

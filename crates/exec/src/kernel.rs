@@ -22,9 +22,6 @@
 //! for contiguous constant-weight selections. Scratch buffers live in a
 //! thread-local pool, so steady-state per-partition scans allocate only
 //! their output group map.
-//!
-//! The `BLINKDB_SCALAR_SCAN=1` environment escape hatch (see
-//! [`scalar_scan_forced`]) forces every scan back onto the scalar oracle.
 
 use crate::aggregate::AggState;
 use crate::engine::RateSpec;
@@ -48,20 +45,6 @@ const RUN_SEG: usize = 64;
 /// Dictionary size above which single-string-column GROUP BY falls back
 /// to the hash grouper instead of dense per-code slots.
 const DENSE_DICT_CAP: usize = 1 << 20;
-
-/// Whether the `BLINKDB_SCALAR_SCAN` environment escape hatch is set,
-/// forcing every scan onto the row-at-a-time oracle regardless of
-/// [`crate::engine::ExecOptions::vectorized`]. Any non-empty value other
-/// than `"0"` counts.
-pub fn scalar_scan_forced() -> bool {
-    scalar_flag(std::env::var("BLINKDB_SCALAR_SCAN").ok().as_deref())
-}
-
-/// `BLINKDB_SCALAR_SCAN` parsing: any non-empty value other than `"0"`
-/// forces the scalar path.
-fn scalar_flag(v: Option<&str>) -> bool {
-    v.is_some_and(|v| !(v.is_empty() || v == "0"))
-}
 
 // ---------------------------------------------------------------------------
 // Selection bitmap
@@ -1158,12 +1141,5 @@ mod tests {
         };
         assert!(!plan_for("SELECT COUNT(*) FROM t", &t, opts).uses_kernel());
         assert!(plan_for("SELECT COUNT(*) FROM t", &t, ExecOptions::default()).uses_kernel());
-        // Env escape hatch semantics, tested on the pure parser (the
-        // process environment stays untouched under parallel tests).
-        assert!(!scalar_flag(None));
-        assert!(!scalar_flag(Some("")));
-        assert!(!scalar_flag(Some("0")));
-        assert!(scalar_flag(Some("1")));
-        assert!(scalar_flag(Some("true")));
     }
 }

@@ -29,7 +29,7 @@
 //! evaluate batch-at-a-time over column chunks into selection bitmaps
 //! and selected rows accumulate in run-length order — pinned
 //! bit-identical to the row-at-a-time scan, which remains the testing
-//! oracle (and the `BLINKDB_SCALAR_SCAN=1` escape hatch).
+//! oracle.
 
 #![warn(missing_docs)]
 
@@ -43,5 +43,4 @@ pub mod predicate;
 
 pub use answer::{AggResult, AnswerRow, ErrorMethod, QueryAnswer};
 pub use engine::{execute, ExecOptions, RateSpec};
-pub use kernel::scalar_scan_forced;
 pub use partial::{PartialAggregates, QueryPlan};

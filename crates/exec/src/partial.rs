@@ -225,11 +225,10 @@ impl<'a> QueryPlan<'a> {
 
     /// Whether [`QueryPlan::scan_set`] will take the vectorized kernel
     /// path: the plan must have it enabled (see
-    /// [`crate::engine::ExecOptions::vectorized`]), carry no joins (the
-    /// kernel scans fact columns directly), and the
-    /// `BLINKDB_SCALAR_SCAN` escape hatch must not be set.
+    /// [`crate::engine::ExecOptions::vectorized`]) and carry no joins
+    /// (the kernel scans fact columns directly).
     pub fn uses_kernel(&self) -> bool {
-        self.vectorized && self.join_plans.is_empty() && !crate::kernel::scalar_scan_forced()
+        self.vectorized && self.join_plans.is_empty()
     }
 
     /// Scans a [`RowSet`] of fact rows, dispatching to the vectorized

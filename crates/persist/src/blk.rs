@@ -15,9 +15,9 @@
 //! in a cold segment can never flow into a query answer.
 //!
 //! [`write_table`]/[`read_table`] lay a [`Table`] out as one chunk per
-//! column per row group (the on-disk analogue of [`blinkdb_storage::BlockMap`]'s
-//! HDFS blocks): fixed-size row groups keep individual chunks — and the
-//! blast radius of a bad checksum — bounded. String columns persist their
+//! column per row group (the on-disk analogue of HDFS blocks):
+//! fixed-size row groups keep individual chunks — and the blast radius
+//! of a bad checksum — bounded. String columns persist their
 //! dictionary *natively* (interned strings + per-row codes), so a reloaded
 //! table is bit-identical to the saved one, dictionary order included.
 
@@ -27,7 +27,7 @@ use blinkdb_common::column::{Column, ColumnData};
 use blinkdb_common::error::{BlinkError, Result};
 use blinkdb_common::schema::{Field, Schema};
 use blinkdb_common::value::DataType;
-use blinkdb_storage::{PartitionedTable, Table};
+use blinkdb_storage::Table;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -235,21 +235,6 @@ impl Segment {
         &self.path
     }
 
-    /// Total size of the segment in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.data.len() as u64
-    }
-
-    /// Names of every chunk, in file order.
-    pub fn chunk_names(&self) -> impl Iterator<Item = &str> {
-        self.index.iter().map(|e| e.name.as_str())
-    }
-
-    /// Whether a chunk named `name` exists.
-    pub fn has_chunk(&self, name: &str) -> bool {
-        self.index.iter().any(|e| e.name == name)
-    }
-
     /// The verified payload of chunk `name`: the CRC recorded in the
     /// footer is recomputed over the bytes, and a mismatch is a precise
     /// error naming the file, the chunk, and its offset.
@@ -283,75 +268,15 @@ impl Segment {
 }
 
 /// Serializes `table` into `writer` under the chunk-name prefix
-/// `prefix` (one chunk per column per [`ROWS_PER_BLOCK`] row group, plus
-/// one dictionary chunk per string column and one metadata chunk).
+/// `prefix`: the [`write_table_meta`] chunk set plus one
+/// [`write_table_slice`] covering every row, under the sub-prefix
+/// `{prefix}:rows` so the two `:meta` chunks cannot collide. A 0-row
+/// table is the meta chunks alone.
 pub fn write_table(writer: &mut SegmentWriter, prefix: &str, table: &Table) -> Result<()> {
-    let n = table.num_rows();
-    let groups = n.div_ceil(ROWS_PER_BLOCK).max(1);
-    let mut meta = Enc::new();
-    meta.str(table.name());
-    meta.u32(table.schema().len() as u32);
-    for f in table.schema().fields() {
-        meta.str(&f.name);
-        meta.u8(dtype_tag(f.dtype));
-    }
-    meta.u64(n as u64);
-    meta.f64(table.logical_rows_per_row());
-    meta.u64(table.row_bytes());
-    meta.u64(groups as u64);
-    writer.chunk(&format!("{prefix}:meta"), n as u64, &meta.into_bytes())?;
-
-    for (c, field) in table.schema().fields().iter().enumerate() {
-        let col = table.column(c);
-        if field.dtype == DataType::Str {
-            let sc = col.strs().expect("schema says Str");
-            let mut e = Enc::new();
-            e.u64(sc.dict_len() as u64);
-            for code in 0..sc.dict_len() as u32 {
-                e.str(sc.decode(code).expect("dense dictionary"));
-            }
-            writer.chunk(&format!("{prefix}:col{c}:dict"), 0, &e.into_bytes())?;
-        }
-        for g in 0..groups {
-            let start = g * ROWS_PER_BLOCK;
-            let end = ((g + 1) * ROWS_PER_BLOCK).min(n);
-            let mut e = Enc::new();
-            // Validity sub-block: present only when the range has nulls.
-            let has_nulls = (start..end).any(|r| !col.is_valid(r));
-            e.u8(has_nulls as u8);
-            if has_nulls {
-                for r in start..end {
-                    e.u8(col.is_valid(r) as u8);
-                }
-            }
-            match col.data() {
-                ColumnData::Bool(v) => {
-                    for &b in &v[start..end] {
-                        e.u8(b as u8);
-                    }
-                }
-                ColumnData::Int(v) => {
-                    for &i in &v[start..end] {
-                        e.i64(i);
-                    }
-                }
-                ColumnData::Float(v) => {
-                    for &f in &v[start..end] {
-                        e.f64(f);
-                    }
-                }
-                ColumnData::Str(sc) => {
-                    for &code in &sc.codes()[start..end] {
-                        e.u32(code);
-                    }
-                }
-            }
-            writer.chunk(
-                &format!("{prefix}:col{c}:g{g}"),
-                (end - start) as u64,
-                &e.into_bytes(),
-            )?;
-        }
+    write_table_meta(writer, prefix, table)?;
+    if table.num_rows() > 0 {
+        let rows = format!("{prefix}:rows");
+        write_table_slice(writer, &rows, table, 0, table.num_rows())?;
     }
     Ok(())
 }
@@ -361,109 +286,11 @@ pub fn write_table(writer: &mut SegmentWriter, prefix: &str, table: &Table) -> R
 /// dictionaries (including entries no surviving row references), and the
 /// logical scale metadata all round-trip exactly.
 pub fn read_table(segment: &Segment, prefix: &str) -> Result<Table> {
-    let mut meta = segment.decoder(&format!("{prefix}:meta"))?;
-    let name = meta.str()?;
-    let ncols = meta.u32()? as usize;
-    let mut fields = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        let fname = meta.str()?;
-        let dtype = tag_dtype(meta.u8()?, &format!("{} schema", segment.path().display()))?;
-        fields.push(Field::new(fname, dtype));
+    let mut asm = TableAssembler::new(segment, prefix)?;
+    if asm.total_rows() > 0 {
+        asm.append_slice(segment, &format!("{prefix}:rows"))?;
     }
-    let n = meta.u64()? as usize;
-    let logical_rows_per_row = meta.f64()?;
-    let row_bytes = meta.u64()?;
-    let groups = meta.u64()? as usize;
-    let schema = Schema::new(fields);
-
-    let mut columns = Vec::with_capacity(ncols);
-    for (c, field) in schema.fields().iter().enumerate() {
-        let dict: Vec<String> = if field.dtype == DataType::Str {
-            let mut d = segment.decoder(&format!("{prefix}:col{c}:dict"))?;
-            let len = d.u64()? as usize;
-            (0..len).map(|_| d.str()).collect::<Result<_>>()?
-        } else {
-            Vec::new()
-        };
-        let mut validity: Option<Vec<bool>> = None;
-        let mut bools = Vec::new();
-        let mut ints = Vec::new();
-        let mut floats = Vec::new();
-        let mut codes = Vec::new();
-        for g in 0..groups {
-            let start = g * ROWS_PER_BLOCK;
-            let end = ((g + 1) * ROWS_PER_BLOCK).min(n);
-            let rows = end - start;
-            let mut d = segment.decoder(&format!("{prefix}:col{c}:g{g}"))?;
-            let has_nulls = d.u8()? != 0;
-            if has_nulls && validity.is_none() {
-                validity = Some(vec![true; start]);
-            }
-            if let Some(v) = &mut validity {
-                if has_nulls {
-                    for _ in 0..rows {
-                        v.push(d.u8()? != 0);
-                    }
-                } else {
-                    v.extend(std::iter::repeat_n(true, rows));
-                }
-            } else if has_nulls {
-                unreachable!("validity initialized above");
-            }
-            match field.dtype {
-                DataType::Bool => {
-                    for _ in 0..rows {
-                        bools.push(d.u8()? != 0);
-                    }
-                }
-                DataType::Int => {
-                    for _ in 0..rows {
-                        ints.push(d.i64()?);
-                    }
-                }
-                DataType::Float => {
-                    for _ in 0..rows {
-                        floats.push(d.f64()?);
-                    }
-                }
-                DataType::Str => {
-                    for _ in 0..rows {
-                        codes.push(d.u32()?);
-                    }
-                }
-            }
-        }
-        let data = match field.dtype {
-            DataType::Bool => ColumnData::Bool(bools),
-            DataType::Int => ColumnData::Int(ints),
-            DataType::Float => ColumnData::Float(floats),
-            DataType::Str => {
-                let max_code = codes.iter().copied().max().map_or(0, |m| m as usize + 1);
-                if max_code > dict.len() {
-                    return Err(BlinkError::internal(format!(
-                        "{}: column {c}: code {} exceeds dictionary of {}",
-                        segment.path().display(),
-                        max_code - 1,
-                        dict.len()
-                    )));
-                }
-                ColumnData::Str(blinkdb_common::column::StrColumn::from_dict_codes(
-                    dict, codes,
-                ))
-            }
-        };
-        columns.push(Column::from_parts(data, validity));
-    }
-    let mut table = Table::from_columns(name, schema, columns)?;
-    if table.num_rows() != n {
-        return Err(BlinkError::internal(format!(
-            "{}: row count mismatch ({} read, {n} declared)",
-            segment.path().display(),
-            table.num_rows()
-        )));
-    }
-    table.set_logical_scale(logical_rows_per_row, row_bytes);
-    Ok(table)
+    asm.finish()
 }
 
 /// Serializes the *slice-independent* state of `table` under `prefix`:
@@ -783,73 +610,6 @@ impl TableAssembler {
     }
 }
 
-/// Serializes a [`PartitionedTable`] — partition row lists *and* the
-/// per-stratum deal counters, so a caller that keeps a long-lived,
-/// incrementally-appended partitioning can round-trip it with appends
-/// continuing the round-robin deal exactly where the saved instance
-/// left off.
-///
-/// Note: the `BlinkDb` snapshot path does **not** use this. Sample
-/// partitioning is derived per query from persisted family state
-/// (resolution rows + stratum run ids), which is what makes a reloaded
-/// family's partitioning bit-identical at every fan-out K without
-/// storing any `PartitionedTable`. This codec is the format-level
-/// building block for callers that materialize one.
-pub fn write_partitioned(
-    writer: &mut SegmentWriter,
-    prefix: &str,
-    parts: &PartitionedTable,
-) -> Result<()> {
-    let mut meta = Enc::new();
-    meta.u64(parts.num_partitions() as u64);
-    meta.u64(parts.total_rows() as u64);
-    let counts = parts.deal_counts();
-    meta.u64(counts.len() as u64);
-    for (sid, dealt) in counts {
-        meta.u32(sid);
-        meta.u64(dealt as u64);
-    }
-    writer.chunk(
-        &format!("{prefix}:meta"),
-        parts.total_rows() as u64,
-        &meta.into_bytes(),
-    )?;
-    for (i, p) in parts.partitions().iter().enumerate() {
-        let mut e = Enc::new();
-        e.u32s(p.rows());
-        writer.chunk(&format!("{prefix}:p{i}"), p.len() as u64, &e.into_bytes())?;
-    }
-    Ok(())
-}
-
-/// Reads back a [`PartitionedTable`] written by [`write_partitioned`].
-pub fn read_partitioned(segment: &Segment, prefix: &str) -> Result<PartitionedTable> {
-    let mut meta = segment.decoder(&format!("{prefix}:meta"))?;
-    let k = meta.u64()? as usize;
-    let total = meta.u64()? as usize;
-    let n_counts = meta.u64()? as usize;
-    let mut counts = Vec::with_capacity(n_counts);
-    for _ in 0..n_counts {
-        let sid = meta.u32()?;
-        let dealt = meta.u64()? as usize;
-        counts.push((sid, dealt));
-    }
-    let mut partitions = Vec::with_capacity(k);
-    for i in 0..k {
-        let mut d = segment.decoder(&format!("{prefix}:p{i}"))?;
-        partitions.push(d.u32s()?);
-    }
-    let parts = PartitionedTable::from_saved(partitions, counts);
-    if parts.total_rows() != total {
-        return Err(BlinkError::internal(format!(
-            "{}: partitioned table row count mismatch ({} read, {total} declared)",
-            segment.path().display(),
-            parts.total_rows()
-        )));
-    }
-    Ok(parts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -863,6 +623,11 @@ mod tests {
     }
 
     fn fixture_table(rows: usize) -> Table {
+        fixture_table_with(rows, |i| i % 11 == 0)
+    }
+
+    /// `null_at(i)` decides whether row `i`'s float is NULL.
+    fn fixture_table_with(rows: usize, null_at: impl Fn(usize) -> bool) -> Table {
         let schema = Schema::new(vec![
             Field::new("city", DataType::Str),
             Field::new("n", DataType::Int),
@@ -872,7 +637,7 @@ mod tests {
         let mut t = Table::new("sessions", schema);
         for i in 0..rows {
             let city = format!("city{}", i % 7);
-            let x = if i % 11 == 0 {
+            let x = if null_at(i) {
                 Value::Null
             } else {
                 Value::Float(i as f64 * 0.25)
@@ -891,28 +656,30 @@ mod tests {
 
     #[test]
     fn table_round_trips_bit_identically() {
-        let path = tmp("roundtrip");
-        let t = fixture_table(1000);
-        let mut w = SegmentWriter::create(&path).unwrap();
-        write_table(&mut w, "fact", &t).unwrap();
-        w.finish(false).unwrap();
+        // Besides the plain fixture: a 0-row table (meta chunks only, no
+        // slice) and one whose only NULLs sit in the second row group
+        // (the validity vector must be back-filled for group 0).
+        for (i, t) in [
+            fixture_table(1000),
+            fixture_table(0),
+            fixture_table_with(ROWS_PER_BLOCK + 17, |i| i > ROWS_PER_BLOCK && i % 5 == 0),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let path = tmp(&format!("roundtrip{i}"));
+            let mut w = SegmentWriter::create(&path).unwrap();
+            write_table(&mut w, "fact", t).unwrap();
+            w.finish(false).unwrap();
 
-        let seg = Segment::open(&path).unwrap();
-        let back = read_table(&seg, "fact").unwrap();
-        assert_eq!(back.name(), t.name());
-        assert_eq!(back.schema(), t.schema());
-        assert_eq!(back.num_rows(), t.num_rows());
-        assert_eq!(back.logical_rows_per_row(), t.logical_rows_per_row());
-        assert_eq!(back.row_bytes(), t.row_bytes());
-        for r in 0..t.num_rows() {
-            for c in 0..4 {
-                assert_eq!(back.value(r, c), t.value(r, c), "row {r} col {c}");
-            }
+            let seg = Segment::open(&path).unwrap();
+            let back = read_table(&seg, "fact").unwrap();
+            assert_tables_equal(&back, t);
+            // Dictionary structure preserved exactly (codes, not just values).
+            let (a, b) = (t.column(0).strs().unwrap(), back.column(0).strs().unwrap());
+            assert_eq!(a.codes(), b.codes());
+            assert_eq!(a.dict_len(), b.dict_len());
         }
-        // Dictionary structure preserved exactly (codes, not just values).
-        let (a, b) = (t.column(0).strs().unwrap(), back.column(0).strs().unwrap());
-        assert_eq!(a.codes(), b.codes());
-        assert_eq!(a.dict_len(), b.dict_len());
     }
 
     #[test]
@@ -943,7 +710,10 @@ mod tests {
         write_table(&mut w, "t", &t).unwrap();
         w.finish(false).unwrap();
         let seg = Segment::open(&path).unwrap();
-        assert!(seg.has_chunk("t:col1:g1"), "second row group exists");
+        assert!(
+            seg.chunk("t:rows:col1:g1").is_ok(),
+            "second row group exists"
+        );
         let back = read_table(&seg, "t").unwrap();
         assert_eq!(back.num_rows(), t.num_rows());
         assert_eq!(
@@ -1003,30 +773,6 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
         let err = Segment::open(&path).unwrap_err().to_string();
         assert!(err.contains("truncated") || err.contains("magic"), "{err}");
-    }
-
-    #[test]
-    fn partitioned_table_round_trips_with_deal_state() {
-        let rows: Vec<u32> = (0..100).collect();
-        let ids: Vec<u32> = rows.iter().map(|r| r / 10).collect();
-        let mut parts = PartitionedTable::stratum_aligned(&rows, &ids, 4);
-        parts.append_rows(&[100, 101], &[3, 3]);
-
-        let path = tmp("parts");
-        let mut w = SegmentWriter::create(&path).unwrap();
-        write_partitioned(&mut w, "pt", &parts).unwrap();
-        w.finish(false).unwrap();
-        let mut back = read_partitioned(&Segment::open(&path).unwrap(), "pt").unwrap();
-        assert_eq!(back.num_partitions(), parts.num_partitions());
-        for (a, b) in back.partitions().iter().zip(parts.partitions()) {
-            assert_eq!(a.rows(), b.rows());
-        }
-        // The deal continues identically after the round trip.
-        back.append_rows(&[102, 103, 104], &[3, 0, 7]);
-        parts.append_rows(&[102, 103, 104], &[3, 0, 7]);
-        for (a, b) in back.partitions().iter().zip(parts.partitions()) {
-            assert_eq!(a.rows(), b.rows(), "deal counters must survive the save");
-        }
     }
 
     fn assert_tables_equal(back: &Table, t: &Table) {
@@ -1158,27 +904,37 @@ mod tests {
 
     #[test]
     fn multi_group_slices_round_trip() {
-        let t = fixture_table(ROWS_PER_BLOCK + 1700);
-        let dir = tmp("bigslice").parent().unwrap().to_path_buf();
-        let meta = dir.join("meta.blk");
-        let mut w = SegmentWriter::create(&meta).unwrap();
-        write_table_meta(&mut w, "f", &t).unwrap();
-        w.finish(false).unwrap();
-        // One slice larger than a row group: the group loop inside the
-        // slice must chunk and reassemble without losing alignment.
-        let cut = 900;
-        let s0 = dir.join("s0.blk");
-        let mut w = SegmentWriter::create(&s0).unwrap();
-        write_table_slice(&mut w, "f", &t, 0, cut).unwrap();
-        w.finish(false).unwrap();
-        let s1 = dir.join("s1.blk");
-        let mut w = SegmentWriter::create(&s1).unwrap();
-        write_table_slice(&mut w, "f", &t, cut, t.num_rows()).unwrap();
-        w.finish(false).unwrap();
+        // Second input: NULLs only in the *second* row group of the
+        // second slice — validity must be back-filled across both the
+        // earlier slice and the earlier group.
+        for (i, t) in [
+            fixture_table(ROWS_PER_BLOCK + 1700),
+            fixture_table_with(ROWS_PER_BLOCK + 1700, |i| i >= ROWS_PER_BLOCK + 1000),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let dir = tmp(&format!("bigslice{i}")).parent().unwrap().to_path_buf();
+            let meta = dir.join("meta.blk");
+            let mut w = SegmentWriter::create(&meta).unwrap();
+            write_table_meta(&mut w, "f", t).unwrap();
+            w.finish(false).unwrap();
+            // One slice larger than a row group: the group loop inside the
+            // slice must chunk and reassemble without losing alignment.
+            let cut = 900;
+            let s0 = dir.join("s0.blk");
+            let mut w = SegmentWriter::create(&s0).unwrap();
+            write_table_slice(&mut w, "f", t, 0, cut).unwrap();
+            w.finish(false).unwrap();
+            let s1 = dir.join("s1.blk");
+            let mut w = SegmentWriter::create(&s1).unwrap();
+            write_table_slice(&mut w, "f", t, cut, t.num_rows()).unwrap();
+            w.finish(false).unwrap();
 
-        let mut asm = TableAssembler::new(&Segment::open(&meta).unwrap(), "f").unwrap();
-        asm.append_slice(&Segment::open(&s0).unwrap(), "f").unwrap();
-        asm.append_slice(&Segment::open(&s1).unwrap(), "f").unwrap();
-        assert_tables_equal(&asm.finish().unwrap(), &t);
+            let mut asm = TableAssembler::new(&Segment::open(&meta).unwrap(), "f").unwrap();
+            asm.append_slice(&Segment::open(&s0).unwrap(), "f").unwrap();
+            asm.append_slice(&Segment::open(&s1).unwrap(), "f").unwrap();
+            assert_tables_equal(&asm.finish().unwrap(), t);
+        }
     }
 }

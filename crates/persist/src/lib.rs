@@ -7,8 +7,9 @@
 //!
 //! * [`blk`] — the versioned, checksummed `.blk` columnar segment
 //!   format: one chunk per column per row group with a footer index and
-//!   per-chunk CRC-32, plus bit-exact [`blinkdb_storage::Table`] and
-//!   [`blinkdb_storage::PartitionedTable`] (de)serialization.
+//!   per-chunk CRC-32, plus bit-exact [`blinkdb_storage::Table`]
+//!   (de)serialization — one slice codec, which whole tables and
+//!   incrementally-checkpointed fact segments both go through.
 //! * [`wal`] — the ingest write-ahead log: framed, checksummed records
 //!   appended *before* a batch is applied; replay stops cleanly at a
 //!   torn tail, so recovery always lands on a consistent prefix.
@@ -30,7 +31,7 @@ pub mod manifest;
 pub mod wal;
 
 pub use blk::{
-    read_partitioned, read_table, write_partitioned, write_table, write_table_meta,
-    write_table_slice, Segment, SegmentWriter, TableAssembler,
+    read_table, write_table, write_table_meta, write_table_slice, Segment, SegmentWriter,
+    TableAssembler,
 };
 pub use wal::{decode_batch, encode_batch, fsync_default, replay as replay_wal, Wal, WalReplay};

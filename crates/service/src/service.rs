@@ -27,11 +27,10 @@ use crate::cache::LruCache;
 use crate::metrics::{MetricsRegistry, ServiceMetrics};
 use blinkdb_common::error::BlinkError;
 use blinkdb_common::Value;
-use blinkdb_core::runtime::elp::required_rows_for_error;
 use blinkdb_core::{
     advise, render_workload_report, AdvisorConfig, ApproxAnswer, BlinkDb, CheckpointState,
-    Compactor, CompactorConfig, DataEpoch, ExecPolicy, FamilyView, Maintainer, PlanProfile,
-    SnapshotSwap, WorkloadAdvice,
+    Compactor, CompactorConfig, DataEpoch, ExecPolicy, FamilyView, IngestMaintenance, Maintainer,
+    PlanProfile, SnapshotSwap, WorkloadAdvice,
 };
 use blinkdb_persist::{decode_batch, encode_batch, Wal};
 use blinkdb_sql::ast::{Bound, Query};
@@ -590,6 +589,20 @@ struct Durable {
     checkpoint_state: CheckpointState,
 }
 
+impl Durable {
+    /// Durable state right after a checkpoint: nothing logged or sealed
+    /// since `checkpoint_state`'s manifest.
+    fn new(wal: Wal, cfg: DurabilityConfig, checkpoint_state: CheckpointState) -> Self {
+        Durable {
+            wal,
+            cfg,
+            wal_bytes_since_snapshot: 0,
+            segments_sealed_since_snapshot: 0,
+            checkpoint_state,
+        }
+    }
+}
+
 /// Everything handed to the ingest thread at spawn.
 struct MasterState {
     db: BlinkDb,
@@ -779,13 +792,7 @@ impl QueryService {
             Some(MasterState {
                 db,
                 cfg: ingest,
-                durable: Some(Durable {
-                    wal,
-                    cfg: durability,
-                    wal_bytes_since_snapshot: 0,
-                    segments_sealed_since_snapshot: 0,
-                    checkpoint_state,
-                }),
+                durable: Some(Durable::new(wal, durability, checkpoint_state)),
             }),
             cfg,
             registry,
@@ -796,8 +803,8 @@ impl QueryService {
 
     /// Rebuilds a durable service from `durability.dir` after a crash or
     /// shutdown: opens the latest committed snapshot, replays the intact
-    /// WAL tail over it batch by batch (append + fold-or-refresh, the
-    /// same pass the live ingest thread runs), re-checkpoints, and
+    /// WAL tail over it batch by batch (the same `apply_batch` the live
+    /// ingest thread runs), re-checkpoints, and
     /// resumes serving at the epoch of the last durable batch. Persisted
     /// ELP profile hints that are still fresh for the recovered epoch
     /// seed the ELP cache.
@@ -858,23 +865,15 @@ impl QueryService {
                     master.epoch()
                 )));
             }
-            // Mirror the live path: a batch whose apply fails is
-            // *dropped* (no epoch published) with the error surfaced,
-            // not fatal. Replaying must converge on the same state, and
-            // a deterministic apply error must not wedge recovery in a
-            // permanent crash loop — validation keeps such batches out
-            // of the WAL in the first place, but a record written by an
-            // older incarnation must still not brick the store.
-            match master.append_rows(&batch).and_then(|range| {
-                // Mirror the live path exactly: each applied batch is
-                // one sealed segment, and the maintenance pass folds
-                // that segment (same drift decisions, same seed
-                // stream as the range-based fold).
-                let sealed = master.segments().segments().last().expect("append seals");
-                debug_assert_eq!(sealed.rows, range);
-                let sealed = sealed.clone();
-                maintainer.fold_segment_or_refresh(&mut master, &sealed)
-            }) {
+            // Like the live path (the same `apply_batch`), a batch whose
+            // apply fails is *dropped* (no epoch published) with the
+            // error surfaced, not fatal. Replaying must converge on the
+            // same state, and a deterministic apply error must not wedge
+            // recovery in a permanent crash loop — validation keeps such
+            // batches out of the WAL in the first place, but a record
+            // written by an older incarnation must still not brick the
+            // store.
+            match apply_batch(&mut master, &mut maintainer, &batch) {
                 Ok(_) => replayed += 1,
                 Err(e) => {
                     skipped += 1;
@@ -912,13 +911,7 @@ impl QueryService {
             Some(MasterState {
                 db: master,
                 cfg: ingest,
-                durable: Some(Durable {
-                    wal,
-                    cfg: durability,
-                    wal_bytes_since_snapshot: 0,
-                    segments_sealed_since_snapshot: 0,
-                    checkpoint_state,
-                }),
+                durable: Some(Durable::new(wal, durability, checkpoint_state)),
             }),
             cfg,
             registry,
@@ -1304,7 +1297,11 @@ impl QueryService {
             Ok(q) => q,
             Err(e) => {
                 inner.metrics.rejected_invalid.inc();
-                record_rejection(inner, sql, "invalid", None, inner.db.load().epoch().get());
+                // Unparseable SQL has no parsed template key; fall back
+                // to the lexical template of the raw text.
+                let template = canonical_template(sql);
+                let epoch = inner.db.load().epoch().get();
+                record_rejection(inner, sql, &template, "invalid", None, epoch);
                 return Err(SubmitError::Invalid(e));
             }
         };
@@ -1322,7 +1319,15 @@ impl QueryService {
                     Some(Bound::Time { seconds }) => Some(*seconds),
                     _ => None,
                 };
-                record_rejection(inner, sql, "unsatisfiable", bound_s, db.epoch().get());
+                let epoch = db.epoch().get();
+                record_rejection(
+                    inner,
+                    sql,
+                    template.as_str(),
+                    "unsatisfiable",
+                    bound_s,
+                    epoch,
+                );
                 return Err(e);
             }
         };
@@ -1387,7 +1392,8 @@ impl QueryService {
             let mut queue = inner.queue.lock().unwrap();
             if queue.len() >= inner.cfg.queue_capacity {
                 inner.metrics.rejected_queue_full.inc();
-                record_rejection(inner, sql, "queue_full", bound_s, epoch.get());
+                let epoch = epoch.get();
+                record_rejection(inner, sql, template.as_str(), "queue_full", bound_s, epoch);
                 return Err(SubmitError::QueueFull);
             }
             // Count the cache miss only for queries that actually enter
@@ -1529,17 +1535,8 @@ fn degraded_epsilon(
     if probe_len == 0.0 || profile.matched_rows == 0 {
         return None;
     }
-    let stats = blinkdb_core::runtime::elp::ProbeStats {
-        probe_rows: profile.probe_rows,
-        matched_rows: profile.matched_rows,
-        max_rel_error: profile.max_rel_error,
-    };
-    let n_req = required_rows_for_error(&stats, requested_eps).ok()?;
-    let scale = n_req / profile.matched_rows as f64;
-    let required_size = probe_len * scale;
-    let required_idx = (0..family.num_resolutions())
-        .find(|&i| family.resolution(i).len() as f64 >= required_size)
-        .unwrap_or(family.largest());
+    let required_idx =
+        profile.resolution_for_error(family, profile.max_rel_error, requested_eps)?;
     if profile.predict_seconds(family, required_idx) <= deadline_s {
         return None; // satisfiable as requested
     }
@@ -1809,6 +1806,7 @@ fn service_trace(
 fn record_rejection(
     inner: &Inner,
     sql: &str,
+    template: &str,
     reason: &'static str,
     bound_s: Option<f64>,
     epoch: u64,
@@ -1826,7 +1824,7 @@ fn record_rejection(
     });
     inner.slow_log.push(SlowQueryRecord {
         sql: sql.to_string(),
-        template: canonical_template(sql),
+        template: template.to_string(),
         qcs: String::new(),
         epoch,
         sim_elapsed_s: 0.0,
@@ -1857,8 +1855,8 @@ fn maybe_enqueue_audit(
     let Some(audit) = inner.audit.as_ref() else {
         return;
     };
-    let template = canonical_template(&job.sql);
-    if !audit.auditor.should_audit(&template) {
+    let template = job.template.as_str();
+    if !audit.auditor.should_audit(template) {
         return;
     }
     // Load shedding, in order of cheapness: a query that already blew
@@ -1883,7 +1881,7 @@ fn maybe_enqueue_audit(
         shared.enqueued += 1;
         shared.tasks.push_back(AuditTask {
             sql: job.sql.clone(),
-            template,
+            template: template.to_string(),
             epoch: db.epoch().get(),
             db: Arc::clone(db),
             answer: Arc::clone(answer),
@@ -2082,6 +2080,20 @@ fn checkpoint(inner: &Inner, master: &BlinkDb, durable: &mut Durable) -> Result<
     Ok(())
 }
 
+/// Applies one ingest batch to the master: append (which seals the batch
+/// as one segment and advances the epoch), then the fold-or-refresh
+/// maintenance pass over exactly that row range. The live ingest loop
+/// and WAL replay both apply through here, so replay walks the same
+/// epochs — and with them the same fold/refresh seeds — as the live run.
+fn apply_batch(
+    master: &mut BlinkDb,
+    maintainer: &mut Maintainer,
+    batch: &[Vec<Value>],
+) -> Result<IngestMaintenance, BlinkError> {
+    let range = master.append_rows(batch)?;
+    maintainer.fold_or_refresh(master, range)
+}
+
 /// The ingest/maintenance thread: the only writer. Owns the mutable
 /// master instance; drains batches, validates each against the fact
 /// schema (an unappliable batch is rejected before it can reach the
@@ -2167,16 +2179,7 @@ fn ingest_loop(inner: &Inner, state: MasterState) {
                 }
             }
         }
-        let applied = master.append_rows(&batch).and_then(|range| {
-            // Every applied batch seals one segment; the maintenance
-            // pass folds exactly that segment (identical drift
-            // decisions and seed stream to the range-based fold).
-            let sealed = master.segments().segments().last().expect("append seals");
-            debug_assert_eq!(sealed.rows, range);
-            let sealed = sealed.clone();
-            maintainer.fold_segment_or_refresh(&mut master, &sealed)
-        });
-        match applied {
+        match apply_batch(&mut master, &mut maintainer, &batch) {
             Ok(report) => {
                 let epoch = master.epoch();
                 // Copy-on-publish: the snapshot is immutable from birth;
@@ -2460,7 +2463,7 @@ mod tests {
         // A tiny latency SLO forces any tight-ε plan over budget, so
         // admission must substitute a larger achievable ε.
         let db = fixture_db(60_000);
-        let floor = db.min_feasible_seconds();
+        let floor = db.min_feasible_seconds_with(db.config().exec);
         let svc = QueryService::new(
             db,
             ServiceConfig {
@@ -2527,7 +2530,7 @@ mod tests {
     #[test]
     fn bootstrap_cost_raises_the_admission_floor() {
         let db = fixture_db(20_000);
-        let floor = db.min_feasible_seconds();
+        let floor = db.min_feasible_seconds_with(db.config().exec);
         let svc = QueryService::new(db, ServiceConfig::default());
         // A WITHIN bound that a closed-form scan could meet but a
         // 100-replicate bootstrap scan cannot: admission must reject the

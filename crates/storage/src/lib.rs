@@ -8,15 +8,10 @@
 //!   lets a few million physical rows stand in for the paper's 17 TB
 //!   (physical rows carry `logical_rows_per_row` and `row_bytes`, so byte
 //!   accounting matches paper scale while estimators run on real data).
-//! * [`block`] — partitioning a table into HDFS-like blocks and spreading
-//!   them round-robin across cluster nodes (§2.2.1 "storage
-//!   optimization"), plus the logical-sample → block mapping of Fig. 4.
 //! * [`partition`] — stratum-aligned row partitions of a sample
 //!   ([`partition::PartitionedTable`]): each of the K partitions holds a
 //!   proportional share of every stratum, so a query can fan out one
-//!   partial-aggregate task per partition and merge (§4.2, §5). The
-//!   [`partition::SegmentDeal`] builder constructs the same partitioning
-//!   one sealed segment at a time, carrying per-segment deal counters.
+//!   partial-aggregate task per partition and merge (§4.2, §5).
 //! * [`segment`] — the arrival-time segment cover of the fact table
 //!   ([`segment::SegmentLog`]): ingest seals small immutable segments,
 //!   generational compaction merges them as pure metadata, and the
@@ -27,14 +22,12 @@
 
 #![warn(missing_docs)]
 
-pub mod block;
 pub mod partition;
 pub mod segment;
 pub mod table;
 pub mod tier;
 
-pub use block::{BlockMap, BlockSpan};
-pub use partition::{Partition, PartitionedTable, SegmentDeal};
+pub use partition::{Partition, PartitionedTable};
 pub use segment::{CompactionPlan, SegmentLog, SegmentMeta};
 pub use table::{RowChunk, RowSet, Table, TableRef};
 pub use tier::{Residency, StorageTier};

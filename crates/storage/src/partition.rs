@@ -60,14 +60,6 @@ impl Partition {
 pub struct PartitionedTable {
     partitions: Vec<Partition>,
     total_rows: usize,
-    /// `(sid, rows dealt)` per build-time stratum run — where the
-    /// round-robin deal `(pos + sid) % k` left off. Recorded with one
-    /// cheap `Vec` push per run so the per-query construction path pays
-    /// no hashing; [`PartitionedTable::append_rows`] folds the runs
-    /// into `counts` lazily, only when appends actually happen.
-    build_runs: Vec<(u32, usize)>,
-    /// Live per-stratum deal counters, materialized on first append.
-    counts: Option<std::collections::HashMap<u32, usize>>,
 }
 
 impl PartitionedTable {
@@ -111,68 +103,20 @@ impl PartitionedTable {
         }
         let k = k.min(rows.len()).max(1);
         let mut partitions = vec![Partition::default(); k];
-        let mut build_runs: Vec<(u32, usize)> = Vec::new();
-        // Ids arrive as consecutive runs, so a running counter replaces
-        // a per-row hash lookup on this per-query path; the final count
-        // per run is recorded once so appends can resume the rotation.
-        let mut current_id = 0u32;
-        let mut pos = 0usize;
-        let mut first = true;
-        for (&row, &sid) in rows.iter().zip(stratum_ids) {
-            if first || sid != current_id {
-                if !first {
-                    build_runs.push((current_id, pos));
-                }
-                current_id = sid;
-                pos = 0;
-                first = false;
+        // Ids arrive as consecutive runs, so a position counter per run
+        // replaces a per-row hash lookup on this per-query path.
+        let mut at = 0;
+        for run in stratum_ids.chunk_by(|a, b| a == b) {
+            let sid = run[0] as usize;
+            for (pos, &row) in rows[at..at + run.len()].iter().enumerate() {
+                partitions[(pos + sid) % k].rows.push(row);
             }
-            partitions[(pos + sid as usize) % k].rows.push(row);
-            pos += 1;
-        }
-        if !first {
-            build_runs.push((current_id, pos));
+            at += run.len();
         }
         PartitionedTable {
             partitions,
             total_rows: rows.len(),
-            build_runs,
-            counts: None,
         }
-    }
-
-    /// Appends freshly-arrived rows, continuing the per-stratum
-    /// round-robin deal exactly where construction left off: the `j`-th
-    /// row ever seen of stratum `s` goes to partition `(j + s) % k`,
-    /// whether it arrived at build time or in a later append. The
-    /// proportional-allocation invariant (every partition holds
-    /// `⌊n_s/K⌋..⌈n_s/K⌉` rows of every stratum) therefore survives any
-    /// number of appends, and partition *prefixes* stay valid
-    /// mini-samples for incremental execution.
-    ///
-    /// Unlike construction, appended rows need not arrive as consecutive
-    /// stratum runs — each row is routed by its own id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stratum_ids.len() != rows.len()`.
-    pub fn append_rows(&mut self, rows: &[u32], stratum_ids: &[u32]) {
-        assert_eq!(
-            rows.len(),
-            stratum_ids.len(),
-            "one stratum id per appended row required"
-        );
-        if self.counts.is_none() {
-            self.counts = Some(self.build_runs.iter().copied().collect());
-        }
-        let counts = self.counts.as_mut().expect("materialized above");
-        let k = self.partitions.len();
-        for (&row, &sid) in rows.iter().zip(stratum_ids) {
-            let pos = counts.entry(sid).or_insert(0);
-            self.partitions[(*pos + sid as usize) % k].rows.push(row);
-            *pos += 1;
-        }
-        self.total_rows += rows.len();
     }
 
     /// Round-robin partitioning of `rows` into at most `k` parts — the
@@ -216,64 +160,6 @@ impl PartitionedTable {
             .sum::<usize>()
     }
 
-    /// The per-stratum deal counters: how many rows of each stratum have
-    /// ever been dealt (at build time plus any appends), sorted by
-    /// stratum id. This is the state a persisted partitioning must carry
-    /// for [`PartitionedTable::append_rows`] to continue the round-robin
-    /// deal exactly where a saved instance left off.
-    pub fn deal_counts(&self) -> Vec<(u32, usize)> {
-        let mut out: Vec<(u32, usize)> = match &self.counts {
-            Some(counts) => counts.iter().map(|(&s, &n)| (s, n)).collect(),
-            None => self.build_runs.clone(),
-        };
-        out.sort_unstable_by_key(|&(s, _)| s);
-        out
-    }
-
-    /// Rebuilds a partitioning from persisted parts: the per-partition
-    /// row lists and the [`PartitionedTable::deal_counts`] snapshot.
-    /// Appends on the restored value land in exactly the partitions they
-    /// would have landed in on the saved one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partitions` is empty (a partitioning always has ≥ 1).
-    pub fn from_saved(partitions: Vec<Vec<u32>>, deal_counts: Vec<(u32, usize)>) -> Self {
-        assert!(!partitions.is_empty(), "at least one partition required");
-        let total_rows = partitions.iter().map(|p| p.len()).sum();
-        PartitionedTable {
-            partitions: partitions
-                .into_iter()
-                .map(|rows| Partition { rows })
-                .collect(),
-            total_rows,
-            build_runs: Vec::new(),
-            counts: Some(deal_counts.into_iter().collect()),
-        }
-    }
-
-    /// Builds the partitioning segment-by-segment through a
-    /// [`SegmentDeal`] — the segmented view's construction path. The
-    /// result is bit-identical to a monolithic
-    /// [`PartitionedTable::stratum_aligned`] over the concatenation of
-    /// the segments whenever each stratum's rows are consecutive
-    /// across that concatenation (the φ-sorted layout guarantees it);
-    /// see [`SegmentDeal`] for why.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or any segment's ids/rows lengths differ.
-    pub fn from_segments<'a, I>(segments: I, k: usize) -> Self
-    where
-        I: IntoIterator<Item = (&'a [u32], &'a [u32])>,
-    {
-        let mut deal = SegmentDeal::new(k);
-        for (rows, ids) in segments {
-            deal.seal_segment(rows, ids);
-        }
-        deal.into_partitioned()
-    }
-
     /// Checks the disjoint-cover invariant against the source row set:
     /// every source row appears in exactly one partition. Used by tests
     /// and debug assertions.
@@ -287,111 +173,6 @@ impl PartitionedTable {
         let mut expect: Vec<u32> = rows.to_vec();
         expect.sort_unstable();
         seen == expect
-    }
-}
-
-/// Incremental construction of a stratum-aligned partitioning, one
-/// sealed segment at a time — the deal state that rides along with the
-/// segmented storage model.
-///
-/// Each call to [`SegmentDeal::seal_segment`] deals one segment's rows
-/// into the `K` partitions, continuing the global per-stratum
-/// round-robin (`j`-th row ever dealt of stratum `s` → partition
-/// `(j + s) % K`), and snapshots the cumulative per-stratum counters —
-/// the "per-segment deal counters" each sealed segment carries. Those
-/// snapshots are what make every segment **prefix** a proportional
-/// mini-sample: restoring the deal from any snapshot and continuing
-/// lands every later row in exactly the partition a one-shot deal
-/// would have chosen.
-///
-/// Bit-identity with the monolithic path: when each stratum's rows are
-/// consecutive across the concatenation of all sealed segments (φ-
-/// sorted sample layout — segment boundaries may split a stratum run,
-/// but a stratum never *recurs* after another intervenes), the global
-/// counter here advances exactly like `stratum_aligned`'s per-run
-/// position, and rows are pushed in the same order, so the resulting
-/// partitions are equal as vectors. The unit tests pin this.
-#[derive(Debug, Clone)]
-pub struct SegmentDeal {
-    partitions: Vec<Vec<u32>>,
-    counts: std::collections::HashMap<u32, usize>,
-    checkpoints: Vec<Vec<(u32, usize)>>,
-    total_rows: usize,
-}
-
-impl SegmentDeal {
-    /// An empty deal into exactly `k` partitions.
-    ///
-    /// Unlike [`PartitionedTable::stratum_aligned`], the partition
-    /// count cannot be clamped to the row count here — the total is
-    /// unknown until the last segment seals — so callers that need
-    /// bit-identity with the monolithic path must pass the already
-    /// clamped `k.min(total_rows).max(1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "partition count must be positive");
-        SegmentDeal {
-            partitions: vec![Vec::new(); k],
-            counts: std::collections::HashMap::new(),
-            checkpoints: Vec::new(),
-            total_rows: 0,
-        }
-    }
-
-    /// Deals one sealed segment's rows and returns the segment's deal
-    /// counters: the cumulative `(stratum, rows ever dealt)` state at
-    /// seal time, sorted by stratum id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stratum_ids.len() != rows.len()`.
-    pub fn seal_segment(&mut self, rows: &[u32], stratum_ids: &[u32]) -> Vec<(u32, usize)> {
-        assert_eq!(
-            rows.len(),
-            stratum_ids.len(),
-            "one stratum id per segment row required"
-        );
-        let k = self.partitions.len();
-        // One counter lookup per consecutive stratum run, not per row —
-        // this sits on the per-query partitioned-view path, where ids
-        // arrive as long φ-sorted runs.
-        let mut at = 0;
-        for run in stratum_ids.chunk_by(|a, b| a == b) {
-            let sid = run[0];
-            let pos = self.counts.entry(sid).or_insert(0);
-            for &row in &rows[at..at + run.len()] {
-                self.partitions[(*pos + sid as usize) % k].push(row);
-                *pos += 1;
-            }
-            at += run.len();
-        }
-        self.total_rows += rows.len();
-        let mut snapshot: Vec<(u32, usize)> = self.counts.iter().map(|(&s, &n)| (s, n)).collect();
-        snapshot.sort_unstable_by_key(|&(s, _)| s);
-        self.checkpoints.push(snapshot.clone());
-        snapshot
-    }
-
-    /// The per-segment deal-counter snapshots, one per sealed segment
-    /// in seal order.
-    pub fn checkpoints(&self) -> &[Vec<(u32, usize)>] {
-        &self.checkpoints
-    }
-
-    /// Rows dealt so far.
-    pub fn total_rows(&self) -> usize {
-        self.total_rows
-    }
-
-    /// Finishes the deal as a [`PartitionedTable`] carrying the final
-    /// counters, so appends continue the rotation seamlessly.
-    pub fn into_partitioned(self) -> PartitionedTable {
-        let mut counts: Vec<(u32, usize)> = self.counts.into_iter().collect();
-        counts.sort_unstable_by_key(|&(s, _)| s);
-        PartitionedTable::from_saved(self.partitions, counts)
     }
 }
 
@@ -469,182 +250,6 @@ mod tests {
             acc = pt.prefix_rows(m);
         }
         assert_eq!(pt.prefix_rows(pt.num_partitions()), 10);
-    }
-
-    #[test]
-    fn appends_continue_the_round_robin_deal() {
-        let (rows, ids) = fixture();
-        let mut appended = PartitionedTable::stratum_aligned(&rows, &ids, 2);
-        // Dealing the same rows in two install-then-append steps must
-        // land every row in the same partition as a one-shot deal.
-        let mut split = PartitionedTable::stratum_aligned(&rows[..6], &ids[..6], 2);
-        split.append_rows(&rows[6..], &ids[6..]);
-        assert_eq!(split.total_rows(), appended.total_rows());
-        for (a, b) in appended.partitions().iter().zip(split.partitions()) {
-            assert_eq!(a.rows(), b.rows());
-        }
-        // Growth keeps per-stratum proportionality: 6 more stratum-b
-        // rows (ids are interleaved, not a run) split 3+3.
-        let new_rows: Vec<u32> = (10..16).collect();
-        let new_ids = vec![1u32; 6];
-        appended.append_rows(&new_rows, &new_ids);
-        let all_ids: Vec<u32> = ids.iter().copied().chain(new_ids).collect();
-        for p in appended.partitions() {
-            let b = p
-                .rows()
-                .iter()
-                .filter(|&&r| all_ids[r as usize] == 1)
-                .count();
-            assert!((5..=6).contains(&b), "stratum b splits 11 rows 6+5: {b}");
-        }
-        let all: Vec<u32> = (0..16).collect();
-        assert!(appended.is_disjoint_cover(&all));
-    }
-
-    #[test]
-    fn appends_route_new_strata_too() {
-        let rows: Vec<u32> = (0..8).collect();
-        let ids = vec![0u32; 8];
-        let mut pt = PartitionedTable::stratum_aligned(&rows, &ids, 4);
-        // A stratum never seen at build time starts its own rotation.
-        pt.append_rows(&[8, 9, 10, 11], &[7, 7, 7, 7]);
-        for p in pt.partitions() {
-            let fresh = p.rows().iter().filter(|&&r| r >= 8).count();
-            assert_eq!(fresh, 1, "4 new-stratum rows spread 1 per partition");
-        }
-    }
-
-    #[test]
-    fn saved_deal_state_continues_identically() {
-        let (rows, ids) = fixture();
-        let mut live = PartitionedTable::stratum_aligned(&rows, &ids, 3);
-        let mut restored = PartitionedTable::from_saved(
-            live.partitions()
-                .iter()
-                .map(|p| p.rows().to_vec())
-                .collect(),
-            live.deal_counts(),
-        );
-        assert_eq!(restored.total_rows(), live.total_rows());
-        // Appending the same rows to both lands them identically.
-        let new_rows = [10u32, 11, 12, 13];
-        let new_ids = [1u32, 2, 2, 5];
-        live.append_rows(&new_rows, &new_ids);
-        restored.append_rows(&new_rows, &new_ids);
-        for (a, b) in live.partitions().iter().zip(restored.partitions()) {
-            assert_eq!(a.rows(), b.rows());
-        }
-        assert_eq!(live.deal_counts(), restored.deal_counts());
-    }
-
-    #[test]
-    fn segment_deal_matches_monolithic_at_every_split() {
-        // Dealing the φ-sorted fixture in segments — for EVERY split
-        // point, including ones that cut a stratum run in half — must
-        // be bit-identical to the one-shot monolithic deal: same
-        // partition row vectors, same deal counters.
-        let (rows, ids) = fixture();
-        for k in 1..=4 {
-            let mono = PartitionedTable::stratum_aligned(&rows, &ids, k);
-            let k_eff = k.min(rows.len()).max(1);
-            for cut in 0..=rows.len() {
-                let seg = PartitionedTable::from_segments(
-                    [(&rows[..cut], &ids[..cut]), (&rows[cut..], &ids[cut..])],
-                    k_eff,
-                );
-                assert_eq!(seg.num_partitions(), mono.num_partitions());
-                for (a, b) in seg.partitions().iter().zip(mono.partitions()) {
-                    assert_eq!(a.rows(), b.rows(), "k={k} cut={cut}");
-                }
-                assert_eq!(seg.deal_counts(), mono.deal_counts());
-            }
-        }
-    }
-
-    #[test]
-    fn segment_deal_matches_monolithic_many_way_split() {
-        // 64 rows over 5 strata of uneven sizes, dealt in 1-to-7-row
-        // segments, equals the monolithic deal at several fan-outs.
-        let rows: Vec<u32> = (0..64).collect();
-        let mut ids = Vec::new();
-        for (sid, n) in [(3u32, 20), (7, 1), (9, 30), (11, 3), (20, 10)] {
-            ids.extend(std::iter::repeat_n(sid, n));
-        }
-        for k in [1usize, 4, 8] {
-            let mono = PartitionedTable::stratum_aligned(&rows, &ids, k);
-            let mut deal = SegmentDeal::new(k.min(rows.len()).max(1));
-            let mut at = 0;
-            let mut width = 1;
-            while at < rows.len() {
-                let end = (at + width).min(rows.len());
-                deal.seal_segment(&rows[at..end], &ids[at..end]);
-                at = end;
-                width = width % 7 + 1;
-            }
-            let seg = deal.into_partitioned();
-            for (a, b) in seg.partitions().iter().zip(mono.partitions()) {
-                assert_eq!(a.rows(), b.rows(), "k={k}");
-            }
-            assert_eq!(seg.deal_counts(), mono.deal_counts());
-        }
-    }
-
-    #[test]
-    fn every_segment_prefix_is_a_proportional_mini_sample() {
-        // After each seal, every stratum dealt so far is spread across
-        // the partitions within ±1 row — the prefix property the
-        // per-segment deal counters exist to preserve.
-        let rows: Vec<u32> = (0..60).collect();
-        let mut ids = Vec::new();
-        for (sid, n) in [(0u32, 24), (1, 30), (2, 6)] {
-            ids.extend(std::iter::repeat_n(sid, n));
-        }
-        let k = 4;
-        let mut deal = SegmentDeal::new(k);
-        for chunk in 0..6 {
-            let at = chunk * 10;
-            let snapshot = deal.seal_segment(&rows[at..at + 10], &ids[at..at + 10]);
-            // Snapshot totals match the rows dealt so far.
-            let dealt: usize = snapshot.iter().map(|&(_, n)| n).sum();
-            assert_eq!(dealt, (chunk + 1) * 10);
-            // Proportionality per stratum across partitions.
-            let probe = deal.clone().into_partitioned();
-            for &(sid, n) in &snapshot {
-                for p in probe.partitions() {
-                    let got = p.rows().iter().filter(|&&r| ids[r as usize] == sid).count();
-                    assert!(
-                        (n / k..=n.div_ceil(k)).contains(&got),
-                        "stratum {sid}: {got} of {n} in one of {k} partitions"
-                    );
-                }
-            }
-        }
-        assert_eq!(deal.checkpoints().len(), 6);
-    }
-
-    #[test]
-    fn segment_deal_resumes_from_partitioned_state() {
-        // Seal two segments, convert to a PartitionedTable, then
-        // append a third batch: rows land exactly where a three-
-        // segment deal puts them.
-        let rows: Vec<u32> = (0..30).collect();
-        let ids: Vec<u32> = rows.iter().map(|r| r / 10).collect();
-        let mut deal = SegmentDeal::new(3);
-        deal.seal_segment(&rows[..8], &ids[..8]);
-        deal.seal_segment(&rows[8..20], &ids[8..20]);
-        let mut resumed = deal.into_partitioned();
-        resumed.append_rows(&rows[20..], &ids[20..]);
-        let oneshot = PartitionedTable::from_segments(
-            [
-                (&rows[..8], &ids[..8]),
-                (&rows[8..20], &ids[8..20]),
-                (&rows[20..], &ids[20..]),
-            ],
-            3,
-        );
-        for (a, b) in resumed.partitions().iter().zip(oneshot.partitions()) {
-            assert_eq!(a.rows(), b.rows());
-        }
     }
 
     #[test]

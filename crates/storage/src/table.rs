@@ -233,8 +233,8 @@ impl Table {
     /// multiplier and simulated `row_bytes` per logical row.
     ///
     /// Used by workload generators to make a few million generated rows
-    /// stand in for the paper's multi-terabyte tables; documented per
-    /// experiment in EXPERIMENTS.md.
+    /// stand in for the paper's multi-terabyte tables (each harness under
+    /// `crates/bench/benches/` states the scale it sets).
     pub fn set_logical_scale(&mut self, logical_rows_per_row: f64, row_bytes: u64) {
         assert!(
             logical_rows_per_row >= 1.0,
@@ -268,28 +268,6 @@ impl Table {
         }
     }
 
-    /// A stable permutation of row indices that sorts the table by the
-    /// given columns (in order). Used to lay stratified samples out
-    /// sequentially by φ (§3.1: "stored sequentially sorted according to
-    /// the order of columns in φ").
-    pub fn sort_permutation(&self, cols: &[usize]) -> Vec<usize> {
-        let mut perm: Vec<usize> = (0..self.num_rows).collect();
-        perm.sort_by(|&a, &b| {
-            for &c in cols {
-                let va = self.columns[c].value(a);
-                let vb = self.columns[c].value(b);
-                let ord = va
-                    .sql_cmp(&vb)
-                    .unwrap_or_else(|| va.is_null().cmp(&vb.is_null()).reverse());
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        perm
-    }
-
     /// Joint group key for a row over a column set (used for stratified
     /// frequencies and distinct counts).
     pub fn row_key(&self, row: usize, cols: &[usize]) -> Vec<Value> {
@@ -304,14 +282,6 @@ impl Table {
             *freqs.entry(self.row_key(row, cols)).or_insert(0) += 1;
         }
         freqs
-    }
-
-    /// Count of distinct value combinations over `cols`: `|D(φ)|`.
-    pub fn distinct_joint(&self, cols: &[usize]) -> usize {
-        if cols.len() == 1 {
-            return self.columns[cols[0]].distinct_count();
-        }
-        self.group_frequencies(cols).len()
     }
 
     /// Resolves column names to indices, error on unknown names.
@@ -606,28 +576,6 @@ mod tests {
         assert_eq!(freqs[&vec![Value::str("Firefox")]], 3);
         assert_eq!(freqs[&vec![Value::str("Safari")]], 1);
         assert_eq!(freqs[&vec![Value::str("IE")]], 1);
-    }
-
-    #[test]
-    fn joint_distinct_counts() {
-        let t = sessions();
-        let cols = t.resolve_columns(&["city", "browser"]).unwrap();
-        // (NY,Firefox), (Berkeley,Firefox), (NY,Safari), (Cambridge,IE).
-        assert_eq!(t.distinct_joint(&cols), 4);
-        let city = t.resolve_columns(&["city"]).unwrap();
-        assert_eq!(t.distinct_joint(&city), 3);
-    }
-
-    #[test]
-    fn sort_permutation_clusters_values() {
-        let t = sessions();
-        let cols = t.resolve_columns(&["browser"]).unwrap();
-        let perm = t.sort_permutation(&cols);
-        let sorted = t.gather(&perm);
-        let b = sorted.column_by_name("browser").unwrap();
-        let vals: Vec<String> = (0..5).map(|i| b.value(i).to_string()).collect();
-        // Firefox rows contiguous, IE and Safari singletons in sorted order.
-        assert_eq!(vals, vec!["Firefox", "Firefox", "Firefox", "IE", "Safari"]);
     }
 
     #[test]

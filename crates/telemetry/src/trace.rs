@@ -10,7 +10,7 @@
 //! (producers use an exact-remainder split when attributing a stage
 //! total across children).
 //!
-//! Span taxonomy (see ARCHITECTURE.md "Observability"):
+//! Span taxonomy (see docs/ARCHITECTURE.md "Span taxonomy"):
 //!
 //! ```text
 //! query

@@ -18,7 +18,7 @@
 use blinkdb_common::schema::{Field, Schema};
 use blinkdb_common::value::{DataType, Value};
 use blinkdb_core::{BlinkDb, BlinkDbConfig, DataEpoch};
-use blinkdb_service::{IngestConfig, QueryService, ServiceConfig, SubmitError};
+use blinkdb_service::{DurabilityConfig, IngestConfig, QueryService, ServiceConfig, SubmitError};
 use blinkdb_sql::template::{ColumnSet, WeightedTemplate};
 use blinkdb_storage::Table;
 use std::collections::HashMap;
@@ -54,7 +54,7 @@ fn rows(city: &str, n: usize, tag: usize) -> Vec<Vec<Value>> {
         .collect()
 }
 
-fn live_service() -> QueryService {
+fn fixture_db() -> BlinkDb {
     let mut cfg = BlinkDbConfig::default();
     cfg.cluster.jitter = 0.0;
     cfg.stratified.cap = 50.0;
@@ -73,8 +73,12 @@ fn live_service() -> QueryService {
         db.families().iter().any(|f| !f.is_uniform()),
         "fixture must select the [city] stratified family"
     );
+    db
+}
+
+fn live_service() -> QueryService {
     QueryService::with_ingest(
-        db,
+        fixture_db(),
         ServiceConfig {
             workers: 4,
             queue_capacity: 512,
@@ -251,4 +255,71 @@ fn static_service_is_single_epoch() {
     assert!(b.from_cache);
     assert_eq!(b.epoch, e);
     assert_eq!(svc.current_epoch(), e);
+}
+
+/// WAL replay is bit-faithful on *sampled* answers: a durable service is
+/// killed (dropped without a shutdown snapshot) with a checkpoint
+/// mid-stream and a WAL tail behind it, and the recovered service must
+/// serve, at the same epoch, exactly the estimates and error bars the
+/// live one did. Fold/refresh seeds derive from `(seed, epoch, family)`,
+/// so replaying the tail draws the same reservoirs the live ingest drew
+/// — a seed counter held by the maintainer would restart at recovery
+/// and resample the tail differently.
+#[test]
+fn recovered_service_serves_the_live_sampled_answers_bit_for_bit() {
+    let dir = std::env::temp_dir().join(format!("blinkdb-ingest-live-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durability = DurabilityConfig {
+        dir: dir.clone(),
+        fsync: false,
+        snapshot_wal_bytes: 0,
+        // Checkpoint after batch 2; batch 3 stays in the WAL.
+        snapshot_sealed_segments: 2,
+        snapshot_on_shutdown: false, // the drop below is a kill
+    };
+    let probes = [
+        "SELECT COUNT(*), AVG(x) FROM sessions WHERE city = 'NY'",
+        "SELECT COUNT(*), AVG(x) FROM sessions WHERE city = 'Boise'",
+        "SELECT city, SUM(x) FROM sessions GROUP BY city",
+        "SELECT AVG(x) FROM sessions WHERE x < 500",
+    ];
+    // Every estimate and variance of every probe, as raw bits.
+    let fingerprint = |db: &BlinkDb| -> Vec<(u64, u64)> {
+        probes
+            .iter()
+            .flat_map(|sql| db.query(sql).expect("probe runs").answer.rows)
+            .flat_map(|row| row.aggs)
+            .map(|a| (a.estimate.to_bits(), a.variance.to_bits()))
+            .collect()
+    };
+
+    let svc = QueryService::with_ingest_durable(
+        fixture_db(),
+        ServiceConfig::default(),
+        IngestConfig::default(),
+        durability.clone(),
+    )
+    .unwrap();
+    for tag in 0..3 {
+        // Small, proportionally-shaped batches: families fold.
+        let mut batch = rows("NY", 60, tag);
+        batch.extend(rows("Boise", 2, tag));
+        svc.append_rows(batch).unwrap();
+    }
+    let live_epoch = svc.flush_ingest().unwrap();
+    assert_eq!(svc.metrics().snapshots_written, 2, "initial + mid-stream");
+    let live = fingerprint(&svc.db());
+    drop(svc);
+
+    let svc = QueryService::recover(
+        ServiceConfig::default(),
+        IngestConfig::default(),
+        durability,
+    )
+    .unwrap();
+    assert_eq!(svc.metrics().wal_batches_replayed, 1, "the WAL tail");
+    assert_eq!(svc.current_epoch(), live_epoch);
+    assert_eq!(fingerprint(&svc.db()), live);
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -213,7 +213,7 @@ proptest! {
             let rb = churned.append_rows(&rows).unwrap();
             prop_assert_eq!(&ra, &rb, "same ingest history, same row ranges");
             let sealed = churned.segments().segments().last().cloned().unwrap();
-            mc.fold_segment_or_refresh(&mut churned, &sealed).unwrap();
+            mc.fold_or_refresh(&mut churned, sealed.rows).unwrap();
 
             lifecycle_op(&mut churned, ops[i]);
             prop_assert_eq!(quiesced.epoch(), churned.epoch(),
