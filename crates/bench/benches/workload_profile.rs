@@ -28,7 +28,7 @@
 
 use blinkdb_bench::{banner, bench_config, conviva_db, f, row, write_bench_json, OPT_ROWS};
 use blinkdb_core::{BlinkDb, Recommendation};
-use blinkdb_service::{ProfilePolicy, QueryService, ServiceConfig, SubmitError};
+use blinkdb_service::{ProfileConfig, QueryService, ServiceConfig, SubmitError};
 use blinkdb_sql::template::WeightedTemplate;
 use blinkdb_telemetry::WorkloadSnapshot;
 use blinkdb_workload::conviva::ConvivaDataset;
@@ -39,7 +39,7 @@ use std::sync::Arc;
 fn closed_loop_qps(
     dataset: &ConvivaDataset,
     db: &Arc<BlinkDb>,
-    profile: Option<ProfilePolicy>,
+    profile: Option<ProfileConfig>,
     clients: usize,
     queries_per_client: usize,
 ) -> f64 {
@@ -156,7 +156,7 @@ fn main() {
     let mut qps_on = closed_loop_qps(
         &dataset,
         &db,
-        Some(ProfilePolicy::default()),
+        Some(ProfileConfig::default()),
         clients,
         queries_per_client,
     );
@@ -170,7 +170,7 @@ fn main() {
         qps_on = qps_on.max(closed_loop_qps(
             &dataset,
             &db,
-            Some(ProfilePolicy::default()),
+            Some(ProfileConfig::default()),
             clients,
             queries_per_client,
         ));

@@ -1,4 +1,5 @@
-//! A small bounded LRU cache.
+//! A small bounded LRU cache, and the internally-locked form
+//! (`LockedCache`) the service shares it in.
 //!
 //! Both service caches (per-template Error–Latency Profiles and
 //! canonical-query results) are capped at a few hundred entries, so this
@@ -8,6 +9,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::{Mutex, MutexGuard};
 
 /// Bounded LRU map.
 #[derive(Debug)]
@@ -88,6 +90,49 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
         self.map.insert(key, (value, stamp));
         evicted
+    }
+}
+
+/// An [`LruCache`] behind its own mutex: the form both service caches
+/// are shared in. Every operation is one short critical section, and
+/// lookups hand out clones (both caches hold cheap `Arc`/plain-data
+/// values), so no guard ever escapes to a caller.
+#[derive(Debug)]
+pub(crate) struct LockedCache<K, V>(Mutex<LruCache<K, V>>);
+
+impl<K: Eq + Hash + Clone, V: Clone> LockedCache<K, V> {
+    pub(crate) fn new(capacity: usize) -> Self {
+        LockedCache(Mutex::new(LruCache::new(capacity)))
+    }
+
+    /// The one lock site. `LruCache` operations do not call out to code
+    /// that can panic mid-update (`retain`/`map_entries` closures only
+    /// read), so the map is consistent whenever the lock is free.
+    fn lock(&self) -> MutexGuard<'_, LruCache<K, V>> {
+        self.0
+            .lock()
+            .expect("cache lock poisoned: a thread panicked while holding it")
+    }
+
+    /// [`LruCache::get`], returning a clone of the cached value.
+    pub(crate) fn get(&self, key: &K) -> Option<V> {
+        self.lock().get(key).cloned()
+    }
+
+    /// [`LruCache::put`].
+    pub(crate) fn put(&self, key: K, value: V) {
+        self.lock().put(key, value);
+    }
+
+    /// [`LruCache::retain`]: drops rejected entries, returns how many.
+    pub(crate) fn retain(&self, pred: impl FnMut(&K, &V) -> bool) -> usize {
+        self.lock().retain(pred)
+    }
+
+    /// Maps every `(key, value)` pair under one lock acquisition, in
+    /// unspecified order, without touching recency.
+    pub(crate) fn map_entries<R>(&self, mut f: impl FnMut(&K, &V) -> R) -> Vec<R> {
+        self.lock().iter().map(|(k, v)| f(k, v)).collect()
     }
 }
 

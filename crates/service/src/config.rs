@@ -1,0 +1,289 @@
+//! Service configuration ([`ServiceConfig`], [`AuditPolicy`],
+//! [`IngestConfig`], [`DurabilityConfig`]) and the three error enums
+//! the public API returns. Plain data: nothing here synchronises.
+
+use blinkdb_common::error::BlinkError;
+use blinkdb_core::{CompactorConfig, ExecPolicy};
+use blinkdb_telemetry::ProfileConfig;
+use std::fmt;
+use std::path::PathBuf;
+
+// In scope for the doc links below only.
+#[cfg(doc)]
+use crate::{QueryService, ServiceAnswer};
+#[cfg(doc)]
+use blinkdb_core::Compactor;
+#[cfg(doc)]
+use blinkdb_telemetry::QueryTrace;
+
+/// Service tuning knobs.
+#[derive(Debug, Clone, Copy)]
+pub struct ServiceConfig {
+    /// Worker threads executing queries.
+    pub workers: usize,
+    /// Bounded admission-queue depth; submissions beyond it are rejected
+    /// with [`SubmitError::QueueFull`] (backpressure, not buffering).
+    pub queue_capacity: usize,
+    /// Entries in the per-template Error–Latency-Profile cache.
+    pub elp_cache_capacity: usize,
+    /// Entries in the canonical-query result cache.
+    pub result_cache_capacity: usize,
+    /// Simulated-seconds deadline assumed for queries without a `WITHIN`
+    /// clause (error-bounded and unbounded queries); also the latency
+    /// SLO that triggers error-bound degradation.
+    pub default_deadline_s: f64,
+    /// Whether admission may *degrade* a relative-error bound (enlarge
+    /// ε) when satisfying the requested ε is predicted to blow the
+    /// latency SLO. With `false` such queries are admitted unchanged.
+    pub degrade: bool,
+    /// Wall-clock seconds a worker stays occupied per *simulated* second
+    /// of the query it ran — the serving-tier analogue of the cluster
+    /// round trip the paper's driver blocks on. `0` (default) disposes
+    /// of queries as fast as the local CPU allows; a positive dilation
+    /// makes worker-pool sizing observable: in-flight "cluster jobs"
+    /// overlap across workers exactly as concurrent Shark jobs would.
+    pub sim_dilation: f64,
+    /// Per-query partitioned-execution override ([`ExecPolicy`]:
+    /// partition fan-out, local scan parallelism, early termination).
+    /// `None` (default) uses the shared instance's `config.exec`.
+    /// Admission's latency floor is predicted under the same effective
+    /// policy the workers execute with.
+    pub exec: Option<ExecPolicy>,
+    /// Whether workers execute with span tracing on
+    /// ([`ExecPolicy::trace`]): every completed answer then carries an
+    /// EXPLAIN ANALYZE-style [`QueryTrace`] on
+    /// [`ServiceAnswer::trace`], and slow-query records capture the
+    /// offender's trace. Off (the default) the production path pays
+    /// nothing and answers are bit-identical to an untraced run.
+    pub trace: bool,
+    /// Capacity of the bounded slow-query ring buffer
+    /// ([`QueryService::slow_queries`]).
+    pub slow_log_capacity: usize,
+    /// Fraction of a query's deadline (its `WITHIN` bound, else
+    /// `default_deadline_s`) beyond which a completed query is recorded
+    /// in the slow-query log.
+    pub slow_threshold_frac: f64,
+    /// Online accuracy auditing ([`AuditPolicy`]). `None` (the default)
+    /// disables auditing entirely — no audit thread is spawned and the
+    /// query path pays nothing.
+    pub audit: Option<AuditPolicy>,
+    /// Online workload/QCS profiling and ELP calibration tracking
+    /// ([`ProfileConfig`]). On by default: the profiler only copies
+    /// values the pipeline already computed, so answers are
+    /// bit-identical with profiling on or off. `None` disables it; the
+    /// `EXPLAIN WORKLOAD` report then degrades to a fixed header.
+    pub profile: Option<ProfileConfig>,
+}
+
+impl Default for ServiceConfig {
+    fn default() -> Self {
+        ServiceConfig {
+            workers: 4,
+            queue_capacity: 256,
+            elp_cache_capacity: 128,
+            result_cache_capacity: 512,
+            default_deadline_s: 30.0,
+            degrade: true,
+            sim_dilation: 0.0,
+            exec: None,
+            trace: false,
+            slow_log_capacity: 64,
+            slow_threshold_frac: 0.9,
+            audit: None,
+            profile: Some(ProfileConfig::default()),
+        }
+    }
+}
+
+/// Tuning for the online accuracy auditor ([`ServiceConfig::audit`]).
+///
+/// Auditing samples completed queries per canonical template,
+/// re-executes them *exactly* against the answer's pinned epoch
+/// snapshot on a dedicated background thread, and records whether the
+/// reported 2σ confidence interval contained the truth. The thread
+/// runs at strictly lower priority than ingest (it defers while
+/// batches are pending), and audits are *shed* — skipped and counted —
+/// under load, so the query hot path never pays for them.
+#[derive(Debug, Clone, Copy)]
+pub struct AuditPolicy {
+    /// Audit every Nth completion of each canonical template (1 =
+    /// every completion; the first completion of a template is always
+    /// audited).
+    pub sample_every: u64,
+    /// Distinct templates tracked before new ones fold into the
+    /// shared `overflow` audit stream.
+    pub max_templates: usize,
+    /// Capacity of the bounded CI-miss accuracy log.
+    pub miss_log_capacity: usize,
+    /// Admission-queue depth at or above which an audit candidate is
+    /// shed (`blinkdb_audit_shed_total{reason="queue_depth"}`).
+    pub shed_queue_depth: usize,
+    /// Pending-audit backlog at or above which a candidate is shed
+    /// (`reason="audit_backlog"`).
+    pub max_backlog: usize,
+}
+
+impl Default for AuditPolicy {
+    fn default() -> Self {
+        AuditPolicy {
+            sample_every: 4,
+            max_templates: 128,
+            miss_log_capacity: 64,
+            shed_queue_depth: 64,
+            max_backlog: 256,
+        }
+    }
+}
+
+/// Tuning for the live-ingestion/maintenance thread
+/// ([`QueryService::with_ingest`]).
+#[derive(Debug, Clone, Copy)]
+pub struct IngestConfig {
+    /// Total-variation drift beyond which a family is fully resampled
+    /// on ingest instead of incrementally folded (the maintainer's §4.5
+    /// threshold).
+    pub drift_threshold: f64,
+    /// Background compaction knobs: the ingest thread runs one
+    /// [`Compactor`] tick after each applied batch, merging runs of
+    /// small sealed segments into larger generations (and, when
+    /// enabled there, managing family residency from the ELP cache's
+    /// hot set). Pure metadata — never advances the epoch, never
+    /// blocks a reader.
+    pub compaction: CompactorConfig,
+}
+
+impl Default for IngestConfig {
+    fn default() -> Self {
+        IngestConfig {
+            drift_threshold: 0.05,
+            compaction: CompactorConfig::default(),
+        }
+    }
+}
+
+/// Durability knobs for a WAL-backed ingesting service
+/// ([`QueryService::with_ingest_durable`] / [`QueryService::recover`]).
+#[derive(Debug, Clone)]
+pub struct DurabilityConfig {
+    /// Snapshot directory: segments, `MANIFEST`, and `wal.log` live here.
+    pub dir: PathBuf,
+    /// Whether WAL appends and snapshot writes fsync. Defaults from the
+    /// `BLINKDB_FSYNC` environment variable (`0` disables — the fast
+    /// mode CI uses so tests stay quick).
+    pub fsync: bool,
+    /// Write a checkpoint (and truncate the WAL) once the WAL has
+    /// accumulated this many bytes since the last one; `0` disables the
+    /// byte trigger. Checkpoints are incremental (only segments sealed
+    /// since the last manifest are written), so keying the cadence to
+    /// accumulated WAL bytes bounds replay work without making
+    /// checkpoint cost grow with total data.
+    pub snapshot_wal_bytes: u64,
+    /// Write a checkpoint once this many segments have been sealed
+    /// (batches applied) since the last one; `0` disables the segment
+    /// trigger. With both triggers `0` the WAL grows until shutdown or
+    /// recovery.
+    pub snapshot_sealed_segments: u64,
+    /// Whether a final snapshot is written on clean shutdown, making the
+    /// next start a pure cold-start `open` with no WAL tail. Crash
+    /// stress tests disable this to simulate killing the ingest thread.
+    pub snapshot_on_shutdown: bool,
+}
+
+impl DurabilityConfig {
+    /// Durability under `dir` with the default cadence (checkpoint at
+    /// 4 MiB of WAL or 16 sealed segments, whichever trips first) and
+    /// fsync per `BLINKDB_FSYNC`.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        DurabilityConfig {
+            dir: dir.into(),
+            fsync: blinkdb_persist::fsync_default(),
+            snapshot_wal_bytes: 4 << 20,
+            snapshot_sealed_segments: 16,
+            snapshot_on_shutdown: true,
+        }
+    }
+
+    pub(crate) fn wal_path(&self) -> PathBuf {
+        self.dir.join("wal.log")
+    }
+}
+
+/// Why an append was not accepted (or did not apply).
+#[derive(Debug, Clone)]
+pub enum IngestError {
+    /// The service was built without an ingest thread
+    /// ([`QueryService::new`] serves a static snapshot).
+    NotIngesting,
+    /// The service is shutting down.
+    Shutdown,
+    /// A background apply failed (schema mismatch, rebuild error); no
+    /// new epoch was published and the previous one kept serving.
+    Failed(String),
+}
+
+impl fmt::Display for IngestError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IngestError::NotIngesting => f.write_str("service has no ingest thread"),
+            IngestError::Shutdown => f.write_str("service shut down"),
+            IngestError::Failed(e) => write!(f, "ingest failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for IngestError {}
+
+/// Why a submission was not admitted.
+#[derive(Debug)]
+pub enum SubmitError {
+    /// The SQL failed to parse or bind.
+    Invalid(BlinkError),
+    /// The bounded admission queue is full — back off and retry.
+    QueueFull,
+    /// No plan can satisfy the query's `WITHIN` bound: even the cheapest
+    /// execution is predicted to take `required_s` > `requested_s`.
+    Unsatisfiable {
+        /// Predicted floor (simulated seconds).
+        required_s: f64,
+        /// The query's requested bound (simulated seconds).
+        requested_s: f64,
+    },
+}
+
+impl fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SubmitError::Invalid(e) => write!(f, "invalid query: {e}"),
+            SubmitError::QueueFull => f.write_str("admission queue full"),
+            SubmitError::Unsatisfiable {
+                required_s,
+                requested_s,
+            } => write!(
+                f,
+                "unsatisfiable bound: needs ≥{required_s:.2}s, requested {requested_s:.2}s"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SubmitError {}
+
+/// Why a previously-admitted query did not produce an answer.
+#[derive(Debug, Clone)]
+pub enum ServiceError {
+    /// Execution failed.
+    Exec(String),
+    /// The service shut down before the query ran.
+    Shutdown,
+}
+
+impl fmt::Display for ServiceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServiceError::Exec(e) => write!(f, "execution failed: {e}"),
+            ServiceError::Shutdown => f.write_str("service shut down"),
+        }
+    }
+}
+
+impl std::error::Error for ServiceError {}

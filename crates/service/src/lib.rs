@@ -64,14 +64,45 @@
 //!   `EXPLAIN WORKLOAD` table, [`QueryService::workload_advice`]
 //!   returns it structured. Profiling only copies values the pipeline
 //!   already computed, so answers are bit-identical with it on or off.
+//!
+//! # Module map
+//!
+//! One file per responsibility; no module takes a lock by hand — each
+//! shared structure owns its mutex, condvars and shutdown handshake.
+//!
+//! | File | Responsibility | Synchronises through |
+//! |---|---|---|
+//! | `config.rs` | `ServiceConfig`, `AuditPolicy`, `IngestConfig`, `DurabilityConfig`; the three error enums | nothing (plain data) |
+//! | `admission.rs` | ticket / handle / answer, `submit`, `admit`, `degraded_epsilon`, the EDF `JobQueue` | `JobQueue` (push), locked cache, `HandleState` |
+//! | `worker.rs` | `worker_loop`, `run_job`, `service_trace`, rejection and slow-log accounting | `JobQueue` (pop), locked cache, `HandleState`, audit `Backlog` (sampling hook) |
+//! | `ingest.rs` | `with_ingest*`, `recover`, `append_rows` / `flush_ingest`, `Durable`, WAL payload codec, `checkpoint`, `apply_batch`, `ingest_loop` | ingest `Backlog`, locked cache |
+//! | `audit.rs` | `maybe_enqueue_audit`, `audit_loop`, `run_audit`, `flush_audits` | audit `Backlog` (reads the ingest `Backlog`'s `pending`) |
+//! | `service.rs` | the `QueryService` facade: `new` / `build`, metrics / export / report accessors, `Drop` | shuts down `JobQueue` and both `Backlog`s; `HandleState` for abandoned jobs |
+//!
+//! `Backlog<T>` (`backlog.rs`) is the one FIFO-plus-flush-counters type
+//! behind both background lanes; `LockedCache` (`cache.rs`) is the
+//! [`LruCache`] behind its own mutex; `JobQueue` and `HandleState` live
+//! in `admission.rs`. `metrics.rs` is lock-free counters and histograms.
 
+mod admission;
+mod audit;
+mod backlog;
 pub mod cache;
+mod config;
+mod ingest;
 pub mod metrics;
 pub mod service;
+mod worker;
 
+#[cfg(test)]
+mod fixtures;
+
+pub use admission::{QueryHandle, QueryTicket, ServiceAnswer};
+pub use blinkdb_telemetry::ProfileConfig;
 pub use cache::LruCache;
-pub use metrics::ServiceMetrics;
-pub use service::{
-    AuditPolicy, DurabilityConfig, IngestConfig, IngestError, ProfilePolicy, QueryHandle,
-    QueryService, QueryTicket, ServiceAnswer, ServiceConfig, ServiceError, SubmitError,
+pub use config::{
+    AuditPolicy, DurabilityConfig, IngestConfig, IngestError, ServiceConfig, ServiceError,
+    SubmitError,
 };
+pub use metrics::ServiceMetrics;
+pub use service::QueryService;

@@ -6,9 +6,9 @@
 //! Everything registers into one shared [`Registry`], so the same
 //! numbers that back the plain-data [`ServiceMetrics`] snapshot are
 //! exported verbatim by `render_prometheus`/`render_json`. The
-//! historical `Reservoir` sampler is retained as the reference
-//! implementation its nearest-rank quantile semantics were pinned
-//! against before the histogram port.
+//! historical `Reservoir` sampler lives on in this file's test module
+//! as the reference implementation the histogram's nearest-rank
+//! quantile semantics are pinned against.
 
 use blinkdb_telemetry::{Counter, Histogram, Registry};
 
@@ -202,59 +202,6 @@ fn rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
-/// A bounded sample of observations: fills to capacity, then replaces
-/// pseudo-randomly (deterministic in the observation count), so memory
-/// stays constant however long the service runs.
-///
-/// Superseded on the service hot path by the telemetry histogram, but
-/// kept (with its pinning tests below) as the reference the histogram's
-/// nearest-rank quantile semantics were audited against.
-#[derive(Debug, Default)]
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) struct Reservoir {
-    samples: Vec<f64>,
-    seen: u64,
-}
-
-/// 4096 f64s ≈ 32 KB per reservoir; plenty for p99 at snapshot time.
-const RESERVOIR_CAP: usize = 4096;
-
-#[cfg_attr(not(test), allow(dead_code))]
-impl Reservoir {
-    fn push(&mut self, x: f64) {
-        self.seen += 1;
-        if self.samples.len() < RESERVOIR_CAP {
-            self.samples.push(x);
-        } else {
-            // SplitMix64 of the observation count picks the slot
-            // (shared stateless hash from `blinkdb_common::rng`).
-            let z = blinkdb_common::rng::splitmix64(self.seen);
-            let slot = (z % RESERVOIR_CAP as u64) as usize;
-            self.samples[slot] = x;
-        }
-    }
-
-    fn sorted(&self) -> Vec<f64> {
-        let mut xs = self.samples.clone();
-        xs.sort_by(|a, b| a.total_cmp(b));
-        xs
-    }
-
-    fn percentile(&self, p: f64) -> f64 {
-        percentile(&self.sorted(), p)
-    }
-}
-
-/// Nearest-rank percentile over an already-sorted slice; 0.0 when empty.
-#[cfg_attr(not(test), allow(dead_code))]
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// A point-in-time snapshot of the service's health.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceMetrics {
@@ -340,6 +287,56 @@ pub struct ServiceMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A bounded sample of observations: fills to capacity, then replaces
+    /// pseudo-randomly (deterministic in the observation count), so memory
+    /// stays constant however long the service runs.
+    ///
+    /// Superseded on the service hot path by the telemetry histogram, but
+    /// kept (with its pinning tests below) as the reference the histogram's
+    /// nearest-rank quantile semantics were audited against.
+    #[derive(Debug, Default)]
+    struct Reservoir {
+        samples: Vec<f64>,
+        seen: u64,
+    }
+
+    /// 4096 f64s ≈ 32 KB per reservoir; plenty for p99 at snapshot time.
+    const RESERVOIR_CAP: usize = 4096;
+
+    impl Reservoir {
+        fn push(&mut self, x: f64) {
+            self.seen += 1;
+            if self.samples.len() < RESERVOIR_CAP {
+                self.samples.push(x);
+            } else {
+                // SplitMix64 of the observation count picks the slot
+                // (shared stateless hash from `blinkdb_common::rng`).
+                let z = blinkdb_common::rng::splitmix64(self.seen);
+                let slot = (z % RESERVOIR_CAP as u64) as usize;
+                self.samples[slot] = x;
+            }
+        }
+
+        fn sorted(&self) -> Vec<f64> {
+            let mut xs = self.samples.clone();
+            xs.sort_by(|a, b| a.total_cmp(b));
+            xs
+        }
+
+        fn percentile(&self, p: f64) -> f64 {
+            percentile(&self.sorted(), p)
+        }
+    }
+
+    /// Nearest-rank percentile over an already-sorted slice; 0.0 when empty.
+    fn percentile(sorted: &[f64], p: f64) -> f64 {
+        if sorted.is_empty() {
+            return 0.0;
+        }
+        let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
+    }
 
     #[test]
     fn percentiles_nearest_rank() {

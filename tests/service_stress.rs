@@ -176,6 +176,7 @@ fn mixed_bound_types_under_concurrency() {
             );
             let service = &service;
             let resolved = &resolved;
+            let table = dataset.table.name();
             scope.spawn(move || {
                 for q in &queries {
                     if let Ok(h) = service.submit(&q.sql) {
@@ -184,6 +185,15 @@ fn mixed_bound_types_under_concurrency() {
                         assert!(ticket.remaining_budget_s() >= 0.0);
                         resolved.fetch_add(1, Ordering::Relaxed);
                     }
+                }
+                // An absurd WITHIN clamps the deadline instead of
+                // panicking the submitter: 1e19 s fits a `Duration` but
+                // overflows `Instant + Duration`; 1e300 s fits neither.
+                for within in ["1e19", "1e300"] {
+                    let sql = format!("SELECT COUNT(*) FROM {table} WITHIN {within} SECONDS");
+                    let (ticket, r) = service.submit(&sql).unwrap().wait();
+                    r.unwrap();
+                    assert!(ticket.remaining_budget_s() >= 0.0);
                 }
             });
         }

@@ -15,7 +15,7 @@
 //! * slow-query records carry the canonical template key and QCS.
 
 use blinkdb_core::{BlinkDb, BlinkDbConfig};
-use blinkdb_service::{ProfilePolicy, QueryService, ServiceConfig};
+use blinkdb_service::{ProfileConfig, QueryService, ServiceConfig};
 use blinkdb_telemetry::{validate_prometheus, AlertState, SlowOutcome};
 use blinkdb_workload::conviva::conviva_dataset;
 use blinkdb_workload::stream::{conviva_append_batch, StreamSpec};
@@ -73,7 +73,7 @@ fn run(service: &QueryService, sql: &str) -> blinkdb_service::ServiceAnswer {
 
 #[test]
 fn profiling_on_is_bit_identical_to_off() {
-    let collect = |profile: Option<ProfilePolicy>| {
+    let collect = |profile: Option<ProfileConfig>| {
         let (_dataset, db) = fixture_db();
         let service = QueryService::new(
             Arc::new(db),
@@ -88,7 +88,7 @@ fn profiling_on_is_bit_identical_to_off() {
             .map(|sql| run(&service, &sql))
             .collect::<Vec<_>>()
     };
-    let on = collect(Some(ProfilePolicy::default()));
+    let on = collect(Some(ProfileConfig::default()));
     let off = collect(None);
     assert_eq!(on.len(), off.len());
     for (a, b) in on.iter().zip(off.iter()) {
@@ -247,11 +247,11 @@ fn elp_calibration_drift_fires_resolves_and_invalidates_profiles() {
         db,
         ServiceConfig {
             workers: 1,
-            profile: Some(ProfilePolicy {
+            profile: Some(ProfileConfig {
                 // Fast, deterministic drift verdicts for the test.
                 calibration_alpha: 0.5,
                 calibration_min_samples: 3,
-                ..ProfilePolicy::default()
+                ..ProfileConfig::default()
             }),
             ..ServiceConfig::default()
         },
