@@ -152,7 +152,10 @@ fn run_coverage(pop: &Pop, trials: u64, bootstrap: bool) -> Coverage {
 
 /// Wall-clock of one 8-partition parallel execution of `plan` over the
 /// whole table at weight 2 (so every row carries bootstrap work).
-fn timed_parallel_run(plan: &QueryPlan<'_>, parts: &PartitionedTable) -> (f64, PartialAggregates) {
+fn timed_parallel_run<'t>(
+    plan: &QueryPlan<'t>,
+    parts: &PartitionedTable,
+) -> (f64, PartialAggregates<'t>) {
     let start = Instant::now();
     let partials: Vec<PartialAggregates> = std::thread::scope(|scope| {
         let handles: Vec<_> = parts

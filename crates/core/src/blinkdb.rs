@@ -21,6 +21,7 @@ use blinkdb_sql::template::{ColumnSet, WeightedTemplate};
 use blinkdb_storage::{SegmentLog, SegmentMeta, StorageTier, Table, TableRef};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
+use std::sync::OnceLock;
 
 /// How error bars are estimated for a query's aggregates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,9 +108,14 @@ impl ExecPolicy {
     /// count.
     pub fn effective_parallelism(&self, partitions: usize) -> usize {
         let host = if self.parallelism == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            // Asked once per process: on Linux every call re-reads the
+            // cgroup files, and this runs on every final execution.
+            static HOST_CORES: OnceLock<usize> = OnceLock::new();
+            *HOST_CORES.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
         } else {
             self.parallelism
         };

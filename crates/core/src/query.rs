@@ -705,20 +705,23 @@ fn answer_conjunctive(
 }
 
 impl Conjunctive<'_> {
-    /// One ELP probe: runs the query on resolution `idx` of `fam`,
-    /// prices the scan (one jitter-seed draw), and books cost and span
-    /// on `probed`.
+    /// One probe: runs the query on resolution `idx` of `fam`, prices
+    /// the scan (one jitter-seed draw), and books cost and span on
+    /// `probed`. `opts` is the query's own — or, for a selection probe,
+    /// the same without replicates: the price and the span read only the
+    /// answer's row and group counts, which no error estimator changes,
+    /// so either way the query's probe is what gets booked.
     fn probe(
         &self,
         dims: &HashMap<String, &blinkdb_storage::Table>,
         fam: &SampleFamily,
         idx: usize,
         prune: f64,
-        escalated: bool,
+        opts: ExecOptions,
         probed: &mut Probed,
     ) -> Result<QueryAnswer> {
         let (view, rates) = fam.view(idx);
-        let ans = execute(self.bound, view, rates, dims, self.opts)?;
+        let ans = execute(self.bound, view, rates, dims, opts)?;
         let cost = self.mult
             * self.db.simulate_scan(
                 fam.resolution_bytes(idx) * prune,
@@ -735,7 +738,7 @@ impl Conjunctive<'_> {
                 .attr("rows_scanned", ans.rows_scanned)
                 .attr("rows_matched", ans.rows_matched)
                 .attr("selectivity", ans.selectivity());
-            if escalated {
+            if idx > fam.smallest() {
                 span = span.attr("escalated", true);
             }
             probed.spans.push(span);
@@ -759,20 +762,38 @@ impl Conjunctive<'_> {
                 // of the best are statistical ties; among tied families
                 // prefer the one whose (pruned) smallest resolution is
                 // cheapest to scan — the response-time side of the ELP.
+                //
+                // Selection reads selectivities only, so these scans
+                // carry no replicates. A bootstrapped query reruns the
+                // winner's below with its own options — the same
+                // simulated probe, already booked — because the ELP
+                // reads that probe's bootstrap error.
+                let closed_form = ExecOptions {
+                    bootstrap: None,
+                    ..self.opts
+                };
                 let mut probes: Vec<(usize, f64, f64, QueryAnswer)> = Vec::new();
                 for (fi, fam) in db.families.iter().enumerate() {
-                    let prune = pruned_fraction(fam, self.bound, self.query, fam.smallest());
-                    let ans = self.probe(&dims, fam, fam.smallest(), prune, false, &mut probed)?;
-                    let bytes = fam.resolution_bytes(fam.smallest()) * prune;
+                    let idx = fam.smallest();
+                    let prune = pruned_fraction(fam, self.bound, self.query, idx);
+                    let ans = self.probe(&dims, fam, idx, prune, closed_form, &mut probed)?;
+                    let bytes = fam.resolution_bytes(idx) * prune;
                     probes.push((fi, ans.selectivity(), bytes, ans));
                 }
                 let best_ratio = probes.iter().map(|p| p.1).fold(0.0, f64::max);
-                probes
+                let (fi, _, _, ans) = probes
                     .into_iter()
                     .filter(|p| p.1 >= best_ratio - 0.05)
                     .min_by(|a, b| a.2.total_cmp(&b.2))
-                    .map(|(fi, _, _, ans)| (fi, Some(ans)))
-                    .ok_or_else(|| BlinkError::internal("no sample families available"))?
+                    .ok_or_else(|| BlinkError::internal("no sample families available"))?;
+                let ans = match self.opts.bootstrap {
+                    None => ans,
+                    Some(_) => {
+                        let (view, rates) = db.families[fi].view(db.families[fi].smallest());
+                        execute(self.bound, view, rates, &dims, self.opts)?
+                    }
+                };
+                (fi, Some(ans))
             }
         };
         let family = &db.families[family_idx];
@@ -786,11 +807,11 @@ impl Conjunctive<'_> {
         let mut probe_idx = family.smallest();
         let mut probe_ans = match selection_probe {
             Some(a) => a,
-            None => self.probe(&dims, family, probe_idx, prune, false, &mut probed)?,
+            None => self.probe(&dims, family, probe_idx, prune, self.opts, &mut probed)?,
         };
         while probe_ans.rows_matched == 0 && probe_idx + 1 < family.num_resolutions() {
             probe_idx += 1;
-            probe_ans = self.probe(&dims, family, probe_idx, prune, true, &mut probed)?;
+            probe_ans = self.probe(&dims, family, probe_idx, prune, self.opts, &mut probed)?;
         }
 
         // ---- Latency model. Fitted at the policy's fan-out width, so

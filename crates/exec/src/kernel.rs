@@ -3,11 +3,12 @@
 //! The kernel replaces the row-at-a-time scan for join-free queries with
 //! batch-at-a-time execution over fixed-size column chunks:
 //!
-//! 1. The compiled predicate is *lowered* once per scan into a `KPred`
-//!    tree whose leaves run typed loops over raw column payloads — f64
-//!    `total_cmp` against numeric literals, per-dictionary-code truth
-//!    tables for string predicates — instead of boxing a [`Value`] per
-//!    row.
+//! 1. The compiled predicate is *lowered* once per plan
+//!    ([`QueryPlan::compile`]) into a `KPred` tree whose leaves run typed
+//!    loops over raw column payloads — f64 `total_cmp` against numeric
+//!    literals, per-dictionary-code truth tables for string predicates —
+//!    instead of boxing a [`Value`] per row. Every partition scan of the
+//!    plan shares the one lowered tree.
 //! 2. Each [`RowChunk`] of up to 1024 rows evaluates into a `SelMask`
 //!    selection bitmap (null-aware: validity vectors are ANDed in at the
 //!    leaves).
@@ -21,10 +22,10 @@
 //! `(bootstrap seed, physical row id)` — and are generated run-at-a-time
 //! for contiguous constant-weight selections. Scratch buffers live in a
 //! thread-local pool, so steady-state per-partition scans allocate only
-//! their output group map.
+//! their output groups.
 
-use crate::aggregate::AggState;
 use crate::engine::RateSpec;
+use crate::groups::{DenseGroups, Groups, States};
 use crate::partial::{PartialAggregates, QueryPlan};
 use crate::predicate::{Compiled, RowCtx};
 use blinkdb_common::column::{Column, ColumnData, StrColumn};
@@ -42,9 +43,6 @@ pub(crate) const CHUNK: usize = 1024;
 const WORDS: usize = CHUNK / 64;
 /// Longest run segment filled by one [`fill_multipliers_run`] call.
 const RUN_SEG: usize = 64;
-/// Dictionary size above which single-string-column GROUP BY falls back
-/// to the hash grouper instead of dense per-code slots.
-const DENSE_DICT_CAP: usize = 1 << 20;
 
 // ---------------------------------------------------------------------------
 // Selection bitmap
@@ -171,8 +169,11 @@ impl SelMask {
 /// Every variant reproduces the scalar [`Compiled::matches`] semantics
 /// exactly — including the collapsed three-valued logic where NULL
 /// comparisons evaluate to false at the leaf — it only changes *how* the
-/// per-row boolean is computed.
-enum KPred {
+/// per-row boolean is computed. It holds column indices and owned truth
+/// tables, no borrow of the fact table, so a plan keeps one for all its
+/// scans.
+#[derive(Debug)]
+pub(crate) enum KPred {
     /// Constant predicate (folded literals, cross-type comparisons that
     /// can never match, NULL-literal comparisons).
     Const(bool),
@@ -208,7 +209,7 @@ enum KPred {
         negated: bool,
     },
     /// Any leaf over a dictionary-encoded string column: truth table
-    /// indexed by dictionary code, computed once per scan with the
+    /// indexed by dictionary code, computed once per plan with the
     /// scalar `Value` semantics. Codes absent from the scanned rows
     /// simply never index in; NULL rows fail the validity check.
     CodeLut { col: usize, lut: Vec<bool> },
@@ -254,14 +255,24 @@ fn between_value(v: &Value, lo: &Value, hi: &Value, negated: bool) -> bool {
 }
 
 /// Builds a per-dictionary-code truth table for a string-column leaf by
-/// running the scalar semantics once per distinct string.
-fn str_lut(strs: &StrColumn, mut leaf: impl FnMut(&Value) -> bool) -> Vec<bool> {
+/// running `leaf` once per distinct string, borrowed from the dictionary.
+/// `leaf` must agree with the scalar semantics for a non-NULL
+/// `Value::Str` row value (NULL rows never index in).
+fn str_lut(strs: &StrColumn, mut leaf: impl FnMut(&str) -> bool) -> Vec<bool> {
     (0..strs.dict_len())
-        .map(|c| {
-            let v = Value::Str(strs.decode(c as u32).expect("code in dict").clone());
-            leaf(&v)
-        })
+        .map(|c| leaf(strs.decode(c as u32).expect("code in dict")))
         .collect()
+}
+
+/// A truth table that is `hit` at the dictionary codes of `lits` and
+/// `!hit` everywhere else: equality leaves look their literals up
+/// instead of comparing every dictionary entry.
+fn code_lut<'l>(strs: &StrColumn, lits: impl IntoIterator<Item = &'l str>, hit: bool) -> Vec<bool> {
+    let mut lut = vec![!hit; strs.dict_len()];
+    for code in lits.into_iter().filter_map(|lit| strs.code_of(lit)) {
+        lut[code as usize] = hit;
+    }
+    lut
 }
 
 fn fold_and(a: KPred, b: KPred) -> KPred {
@@ -280,9 +291,21 @@ fn fold_or(a: KPred, b: KPred) -> KPred {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Predicates lowered on this thread (see `lowers_once_per_plan`).
+    static LOWERINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Lowers a compiled predicate against the fact table's column types.
 /// Only called on join-free plans, so every slot targets table 0.
-fn lower(c: &Compiled, fact: &Table) -> KPred {
+pub(crate) fn lower(c: &Compiled, fact: &Table) -> KPred {
+    #[cfg(test)]
+    LOWERINGS.with(|n| n.set(n.get() + 1));
+    lower_node(c, fact)
+}
+
+fn lower_node(c: &Compiled, fact: &Table) -> KPred {
     match c {
         Compiled::True => KPred::Const(true),
         Compiled::Lit(v) => KPred::Const(v.as_bool().unwrap_or(false)),
@@ -294,9 +317,9 @@ fn lower(c: &Compiled, fact: &Table) -> KPred {
                 _ => KPred::Const(false),
             }
         }
-        Compiled::And(a, b) => fold_and(lower(a, fact), lower(b, fact)),
-        Compiled::Or(a, b) => fold_or(lower(a, fact), lower(b, fact)),
-        Compiled::Not(e) => match lower(e, fact) {
+        Compiled::And(a, b) => fold_and(lower_node(a, fact), lower_node(b, fact)),
+        Compiled::Or(a, b) => fold_or(lower_node(a, fact), lower_node(b, fact)),
+        Compiled::Not(e) => match lower_node(e, fact) {
             KPred::Const(v) => KPred::Const(!v),
             p => KPred::Not(Box::new(p)),
         },
@@ -342,12 +365,13 @@ fn lower_cmp(op: CmpOp, lhs: &Compiled, rhs: &Compiled, fact: &Table, orig: &Com
                 lit: lit.as_f64().expect("numeric literal"),
             }
         }
-        (ColumnData::Str(s), Value::Str(_)) => KPred::CodeLut {
+        (ColumnData::Str(s), Value::Str(lit)) => KPred::CodeLut {
             col: slot.col,
-            lut: str_lut(s, |v| match v.sql_cmp(lit) {
-                Some(o) => op.eval(o),
-                None => false,
-            }),
+            lut: match op {
+                CmpOp::Eq => code_lut(s, [lit.as_ref()], true),
+                CmpOp::Ne => code_lut(s, [lit.as_ref()], false),
+                _ => str_lut(s, |v| op.eval(v.cmp(lit.as_ref()))),
+            },
         },
         // Cross-type or NULL-literal comparison: `sql_cmp` is None for
         // every possible row value, so no row ever matches.
@@ -376,10 +400,19 @@ fn lower_in(
             has_null: list.iter().any(|v| v.is_null()),
             negated,
         },
-        ColumnData::Str(s) => KPred::CodeLut {
-            col: slot.col,
-            lut: str_lut(s, |v| in_value(v, list, negated)),
-        },
+        // Only string candidates can equal a string row, and a NULL in
+        // the list blocks `NOT IN` from proving absence for any row.
+        ColumnData::Str(_) if negated && list.iter().any(|v| v.is_null()) => KPred::Const(false),
+        ColumnData::Str(s) => {
+            let lits = list.iter().filter_map(|v| match v {
+                Value::Str(lit) => Some(lit.as_ref()),
+                _ => None,
+            });
+            KPred::CodeLut {
+                col: slot.col,
+                lut: code_lut(s, lits, !negated),
+            }
+        }
         ColumnData::Bool(_) => KPred::Scalar(orig.clone()),
     }
 }
@@ -411,9 +444,13 @@ fn lower_between(
             // scalar path returns false before applying NOT.
             _ => KPred::Const(false),
         },
-        ColumnData::Str(s) => KPred::CodeLut {
-            col: slot.col,
-            lut: str_lut(s, |v| between_value(v, lo, hi, negated)),
+        ColumnData::Str(s) => match (lo, hi) {
+            (Value::Str(lo), Value::Str(hi)) => KPred::CodeLut {
+                col: slot.col,
+                lut: str_lut(s, |v| (v >= lo.as_ref() && v <= hi.as_ref()) != negated),
+            },
+            // As above: a non-string bound is incomparable with every row.
+            _ => KPred::Const(false),
         },
         ColumnData::Bool(_) => KPred::Scalar(orig.clone()),
     }
@@ -571,109 +608,80 @@ impl KPred {
 
 /// Per-scan group-state router.
 ///
-/// `Global` serves ungrouped queries without touching a map; `DenseStr`
-/// serves the common single-string-column GROUP BY with a flat
-/// per-dictionary-code slot vector (last slot = NULL); `Hash` is the
-/// general fallback with a reusable key buffer, so the per-row lookup
-/// allocates only on first sight of a group.
-enum Grouper<'t> {
-    Global(Option<Vec<AggState>>),
-    DenseStr {
-        strs: &'t StrColumn,
-        validity: Option<&'t [bool]>,
-        slots: Vec<Option<Vec<AggState>>>,
-    },
-    Hash {
-        cols: Vec<&'t Column>,
-        key_buf: Vec<Value>,
-        groups: HashMap<Vec<Value>, Vec<AggState>>,
-    },
+/// Ungrouped queries keep one accumulator vector and never touch a map.
+/// A GROUP BY on one string, boolean or integer column whose domain is
+/// small next to the scan routes through [`DenseGroups`] slots; every
+/// other GROUP BY — and an integer column whose values outgrow the dense
+/// window mid-scan — goes through the hash map with a reusable key
+/// buffer, so the per-row lookup allocates only on first sight of a
+/// group. Moving from slots to the map mid-scan keeps every group's
+/// accumulators, so the switch never shows in the result's bits.
+struct Grouper<'t> {
+    /// The GROUP BY columns (empty = one global group).
+    cols: Vec<&'t Column>,
+    global: Option<States>,
+    groups: Groups<'t>,
+    key_buf: Vec<Value>,
 }
 
 impl<'t> Grouper<'t> {
-    fn new(plan: &QueryPlan<'t>, fact: &'t Table) -> Self {
-        if plan.group_slots.is_empty() {
-            return Grouper::Global(None);
-        }
-        if plan.group_slots.len() == 1 {
-            let col = fact.column(plan.group_slots[0].col);
-            if let Some(strs) = col.strs() {
-                if strs.dict_len() <= DENSE_DICT_CAP {
-                    return Grouper::DenseStr {
-                        strs,
-                        validity: col.validity(),
-                        slots: (0..strs.dict_len() + 1).map(|_| None).collect(),
-                    };
-                }
-            }
-        }
-        Grouper::Hash {
-            cols: plan
-                .group_slots
-                .iter()
-                .map(|s| fact.column(s.col))
-                .collect(),
-            key_buf: Vec::with_capacity(plan.group_slots.len()),
-            groups: HashMap::new(),
+    fn new(plan: &QueryPlan<'t>, fact: &'t Table, rows: usize) -> Self {
+        let cols: Vec<&Column> = plan
+            .group_slots
+            .iter()
+            .map(|s| fact.column(s.col))
+            .collect();
+        let dense = match cols[..] {
+            [col] => DenseGroups::for_scan(col, rows),
+            _ => None,
+        };
+        Grouper {
+            key_buf: Vec::with_capacity(cols.len()),
+            cols,
+            global: None,
+            groups: dense.map_or_else(Groups::default, Groups::Dense),
         }
     }
 
     /// The accumulator vector for `physical`'s group, created on first
     /// use.
-    fn states(&mut self, plan: &QueryPlan<'_>, physical: usize) -> &mut Vec<AggState> {
-        match self {
-            Grouper::Global(states) => states.get_or_insert_with(|| plan.new_states()),
-            Grouper::DenseStr {
-                strs,
-                validity,
-                slots,
-            } => {
-                let idx = if validity.is_none_or(|v| v[physical]) {
-                    strs.codes()[physical] as usize
-                } else {
-                    strs.dict_len()
-                };
-                slots[idx].get_or_insert_with(|| plan.new_states())
+    #[inline]
+    fn states(&mut self, plan: &QueryPlan<'_>, physical: usize) -> &mut States {
+        if self.cols.is_empty() {
+            return self.global.get_or_insert_with(|| plan.new_states());
+        }
+        if let Groups::Dense(dense) = &mut self.groups {
+            if !dense.admit(physical) {
+                self.groups.make_keyed();
             }
-            Grouper::Hash {
-                cols,
-                key_buf,
-                groups,
-            } => {
-                key_buf.clear();
-                for c in cols.iter() {
-                    key_buf.push(c.value(physical));
+        }
+        match &mut self.groups {
+            Groups::Dense(dense) => dense
+                .slot(physical)
+                .get_or_insert_with(|| plan.new_states()),
+            Groups::Keyed(groups) => {
+                self.key_buf.clear();
+                for c in &self.cols {
+                    self.key_buf.push(c.value(physical));
                 }
-                if !groups.contains_key(key_buf.as_slice()) {
-                    groups.insert(key_buf.clone(), plan.new_states());
+                if !groups.contains_key(self.key_buf.as_slice()) {
+                    groups.insert(self.key_buf.clone(), plan.new_states());
                 }
-                groups.get_mut(key_buf.as_slice()).expect("just inserted")
+                groups
+                    .get_mut(self.key_buf.as_slice())
+                    .expect("just inserted")
             }
         }
     }
 
-    /// Materializes into the scalar path's group-map representation.
-    fn into_groups(self) -> HashMap<Vec<Value>, Vec<AggState>> {
-        match self {
-            Grouper::Global(None) => HashMap::new(),
-            Grouper::Global(Some(states)) => HashMap::from([(Vec::new(), states)]),
-            Grouper::DenseStr { strs, slots, .. } => {
-                let mut m = HashMap::new();
-                for (code, slot) in slots.into_iter().enumerate() {
-                    if let Some(states) = slot {
-                        let key = if code < strs.dict_len() {
-                            vec![Value::Str(
-                                strs.decode(code as u32).expect("code in dict").clone(),
-                            )]
-                        } else {
-                            vec![Value::Null]
-                        };
-                        m.insert(key, states);
-                    }
-                }
-                m
-            }
-            Grouper::Hash { groups, .. } => groups,
+    /// The accumulated groups, in the container they were routed
+    /// through: dense slots stay dense (no key is materialised per
+    /// partition — that happens once per query, in
+    /// [`QueryPlan::finish`]).
+    fn into_groups(self) -> Groups<'t> {
+        match self.global {
+            Some(states) => Groups::Keyed(HashMap::from([(Vec::new(), states)])),
+            None => self.groups,
         }
     }
 }
@@ -719,19 +727,19 @@ fn return_scratch(s: Scratch) {
 /// bitmaps, run-length selected-row iteration, shared per-row
 /// accumulation. Produces the same [`PartialAggregates`] as
 /// [`QueryPlan::scan`] bit for bit.
-pub(crate) fn scan_kernel(
-    plan: &QueryPlan<'_>,
+pub(crate) fn scan_kernel<'t>(
+    plan: &QueryPlan<'t>,
+    pred: &KPred,
     rows: &RowSet<'_>,
     rates: RateSpec<'_>,
-) -> PartialAggregates {
+) -> PartialAggregates<'t> {
     let fact = plan.tables[0];
-    let pred = lower(&plan.predicate, fact);
     let boot_seed = plan.bootstrap.map(|s| s.seed).unwrap_or(0);
     let boot_b = plan.scan_replicates();
     // Exact and Uniform rates give every row the same weight, enabling
     // run-at-a-time multiplier fills over contiguous selections.
     let const_weight = matches!(rates, RateSpec::Exact | RateSpec::Uniform(_));
-    let mut grouper = Grouper::new(plan, fact);
+    let mut grouper = Grouper::new(plan, fact, rows.len());
     let mut scratch = take_scratch(boot_b);
     let mut mask = SelMask::new();
     let mut rows_scanned = 0u64;
@@ -806,10 +814,9 @@ pub(crate) fn scan_kernel(
         });
     }
 
-    let groups = grouper.into_groups();
     return_scratch(scratch);
     PartialAggregates {
-        groups,
+        groups: grouper.into_groups(),
         rows_scanned,
         rows_matched,
     }
@@ -910,6 +917,25 @@ mod tests {
         t
     }
 
+    /// [`fixture`]`(rows)` behind one extra first row whose city, 'RARE',
+    /// appears nowhere else.
+    fn fixture_after_rare(rows: usize) -> Table {
+        let base = fixture(rows);
+        let mut t = fixture(0);
+        t.push_row(&[
+            Value::str("RARE"),
+            Value::Float(1.0),
+            Value::Int(-1),
+            Value::Bool(false),
+        ])
+        .unwrap();
+        for i in 0..base.num_rows() {
+            let row: Vec<Value> = (0..4).map(|c| base.value(i, c)).collect();
+            t.push_row(&row).unwrap();
+        }
+        t
+    }
+
     fn plan_for<'a>(sql: &str, t: &'a Table, opts: ExecOptions) -> QueryPlan<'a> {
         let q = parse(sql).unwrap();
         let mut catalog = HashMap::new();
@@ -952,7 +978,7 @@ mod tests {
             };
             let plan = plan_for(sql, t, opts);
             assert!(plan.uses_kernel(), "join-free plan takes the kernel");
-            let kernel = scan_kernel(&plan, &rows, rates);
+            let kernel = plan.scan_set(rows.clone(), rates);
             let scalar = plan.scan(rows.iter(), rates);
             assert_eq!(kernel.rows_scanned, scalar.rows_scanned, "{sql}");
             assert_eq!(kernel.rows_matched, scalar.rows_matched, "{sql}");
@@ -1058,20 +1084,7 @@ mod tests {
 
     #[test]
     fn dictionary_code_absent_from_scanned_partition() {
-        let t = fixture(300);
-        let mut with_rare = fixture(0);
-        with_rare
-            .push_row(&[
-                Value::str("RARE"),
-                Value::Float(1.0),
-                Value::Int(-1),
-                Value::Bool(false),
-            ])
-            .unwrap();
-        for i in 0..t.num_rows() {
-            let row: Vec<Value> = (0..4).map(|c| t.value(i, c)).collect();
-            with_rare.push_row(&row).unwrap();
-        }
+        let with_rare = fixture_after_rare(300);
         // 'RARE' lives only at physical row 0; scan a partition that
         // excludes it. The LUT entry exists but no scanned code hits it.
         let rest: Vec<u32> = (1..with_rare.num_rows() as u32).collect();
@@ -1098,6 +1111,20 @@ mod tests {
             "SELECT COUNT(*) FROM t WHERE NOT x < 50",
             "SELECT COUNT(*) FROM t WHERE ended = true AND x != NULL",
             "SELECT RATIO(x, n) FROM t WHERE n NOT IN (1, NULL)",
+            // String leaves: =/!=/IN through dictionary look-ups, ordered
+            // compares and BETWEEN through truth tables, NULL in a list.
+            "SELECT COUNT(*) FROM t WHERE city != 'Nowhere' AND NOT city = 'SF'",
+            "SELECT COUNT(*) FROM t WHERE city > 'LA' OR 'NY' >= city",
+            "SELECT COUNT(*) FROM t WHERE city IN ('NY', 'LA')",
+            "SELECT COUNT(*) FROM t WHERE city NOT IN ('NY', 'Nowhere')",
+            "SELECT COUNT(*) FROM t WHERE NOT city NOT IN ('NY', NULL)",
+            "SELECT COUNT(*) FROM t WHERE city BETWEEN 'LA' AND 'NY'",
+            "SELECT COUNT(*) FROM t WHERE city NOT BETWEEN 'M' AND 'Z'",
+            "SELECT COUNT(*) FROM t WHERE NOT city BETWEEN 'LA' AND NULL",
+            // Dense routers beyond strings: a bool column, an int column
+            // whose window starts anywhere and grows both ways.
+            "SELECT ended, COUNT(*), AVG(x) FROM t WHERE n != 5 GROUP BY ended",
+            "SELECT n, COUNT(*), SUM(x) FROM t WHERE n BETWEEN 900 AND 1100 GROUP BY n",
         ] {
             assert_bit_identical(
                 sql,
@@ -1106,6 +1133,156 @@ mod tests {
                 RateSpec::Uniform(0.5),
             );
         }
+    }
+
+    /// Dense partials merge slot-wise and `finish` to the same rows, in
+    /// the same order, as the scalar path's hash-merged partials — NULL
+    /// group included, with codes ('RARE', 'LA') absent from some
+    /// partitions and one partition empty — closed form and bootstrap.
+    #[test]
+    fn dense_merge_finishes_like_hash_merge() {
+        let t = fixture_after_rare(900);
+        let all: Vec<u32> = (0..t.num_rows() as u32).collect();
+        // Partition 0 holds 'RARE'; partition 1 holds no 'LA' row
+        // (`i % 7 == 6` in the fixture, shifted by the prepended row).
+        let no_la: Vec<u32> = (300..600u32).filter(|r| (r - 1) % 7 != 6).collect();
+        let parts: [&[u32]; 4] = [&all[..300], &no_la, &[], &all[600..]];
+        let boot = Some(BootstrapSpec {
+            replicates: 20,
+            seed: 0x5EED,
+            force: true,
+        });
+        for (sql, groups) in [
+            (
+                "SELECT city, COUNT(*), AVG(x), MEDIAN(x) FROM t WHERE n != 5 GROUP BY city",
+                5, // NY, SF, LA, RARE and NULL
+            ),
+            ("SELECT ended, COUNT(*), STDDEV(x) FROM t GROUP BY ended", 2),
+        ] {
+            for bootstrap in [None, boot] {
+                let opts = ExecOptions {
+                    bootstrap,
+                    ..ExecOptions::default()
+                };
+                let plan = plan_for(sql, &t, opts);
+                let rates = RateSpec::Uniform(0.5);
+                let mut dense = PartialAggregates::default();
+                let mut hashed = PartialAggregates::default();
+                for part in parts {
+                    dense.merge(plan.scan_set(RowSet::Rows(part), rates));
+                    hashed.merge(plan.scan(part.iter().map(|&r| r as usize), rates));
+                }
+                assert!(matches!(dense.groups, Groups::Dense(_)), "{sql}");
+                let Groups::Keyed(keyed) = &hashed.groups else {
+                    panic!("the scalar scan keys its groups");
+                };
+                assert_eq!(keyed.len(), groups, "{sql}");
+                assert_eq!(fingerprint(&plan, dense), fingerprint(&plan, hashed));
+            }
+        }
+    }
+
+    /// An integer GROUP BY stays dense while its values fit one window —
+    /// negative keys, NULL keys, partitions whose windows differ — and
+    /// moves to the hash router, mid-scan or mid-merge, when they do not;
+    /// the answer's bits never show which.
+    #[test]
+    fn int_group_window_grows_merges_and_overflows() {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("x", DataType::Float),
+        ]);
+        let mut t = Table::new("t", schema);
+        for i in 0..3000i64 {
+            let k = match i {
+                // Far outside any window the first 2000 rows open.
+                2500 => Value::Int(1_000_000),
+                _ if i % 17 == 0 => Value::Null,
+                // Descending, crossing zero: the window grows downward.
+                _ => Value::Int(40 - (i % 90)),
+            };
+            t.push_row(&[k, Value::Float((i % 31) as f64)]).unwrap();
+        }
+        let plan = plan_for(
+            "SELECT k, COUNT(*), AVG(x) FROM t GROUP BY k",
+            &t,
+            ExecOptions::default(),
+        );
+        let rates = RateSpec::Uniform(0.25);
+        let all: Vec<u32> = (0..3000).collect();
+        let scan = |part: &[u32]| plan.scan_set(RowSet::Rows(part), rates);
+
+        let narrow = scan(&all[..1000]);
+        assert!(matches!(narrow.groups, Groups::Dense(_)));
+        // The outlier arrives 500 rows into this scan.
+        let overflowed = scan(&all[2000..]);
+        assert!(matches!(overflowed.groups, Groups::Keyed(_)));
+        // Two dense windows too far apart to share one.
+        let far = scan(&all[2500..2501]);
+        assert!(matches!(far.groups, Groups::Dense(_)));
+        let mut apart = scan(&all[..1000]);
+        apart.merge(far);
+        assert!(matches!(apart.groups, Groups::Keyed(_)));
+
+        for parts in [
+            vec![&all[..1000], &all[1000..2000], &all[2000..]],
+            vec![&all[..2500], &all[2500..2501], &all[2501..]],
+            vec![&all[2000..], &all[..10], &all[10..2000]],
+        ] {
+            let mut kernel = PartialAggregates::default();
+            let mut scalar = PartialAggregates::default();
+            for part in parts {
+                kernel.merge(scan(part));
+                scalar.merge(plan.scan(part.iter().map(|&r| r as usize), rates));
+            }
+            assert_eq!(fingerprint(&plan, kernel), fingerprint(&plan, scalar));
+        }
+    }
+
+    /// A dense router is chosen only when its domain is small next to
+    /// the rows being scanned.
+    #[test]
+    fn few_rows_over_a_large_dictionary_take_the_hash_router() {
+        let schema = Schema::new(vec![Field::new("g", DataType::Str)]);
+        let mut t = Table::new("t", schema);
+        for i in 0..2000 {
+            t.push_row(&[Value::str(format!("g{}", i % 500))]).unwrap();
+        }
+        let plan = plan_for(
+            "SELECT g, COUNT(*) FROM t GROUP BY g",
+            &t,
+            ExecOptions::default(),
+        );
+        let few = plan.scan_set(RowSet::Range(0..3), RateSpec::Exact);
+        assert!(matches!(few.groups, Groups::Keyed(_)));
+        let many = plan.scan_set(RowSet::Range(0..2000), RateSpec::Exact);
+        assert!(matches!(many.groups, Groups::Dense(_)));
+    }
+
+    /// The predicate is lowered when the plan is compiled, and never
+    /// again however many partitions the plan scans.
+    #[test]
+    fn lowers_once_per_plan() {
+        let t = fixture(500);
+        let before = LOWERINGS.with(|n| n.get());
+        let plan = plan_for(
+            "SELECT city, COUNT(*) FROM t WHERE city IN ('NY', 'SF') AND x < 50 GROUP BY city",
+            &t,
+            ExecOptions::default(),
+        );
+        assert_eq!(LOWERINGS.with(|n| n.get()), before + 1);
+        let ids: Vec<u32> = (0..500).collect();
+        for part in ids.chunks(50) {
+            plan.scan_set(RowSet::Rows(part), RateSpec::Uniform(0.5));
+        }
+        assert_eq!(LOWERINGS.with(|n| n.get()), before + 1);
+        // The scalar oracle's plan lowers nothing.
+        let opts = ExecOptions {
+            vectorized: false,
+            ..ExecOptions::default()
+        };
+        plan_for("SELECT COUNT(*) FROM t WHERE x < 50", &t, opts);
+        assert_eq!(LOWERINGS.with(|n| n.get()), before + 1);
     }
 
     #[test]

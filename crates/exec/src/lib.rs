@@ -36,6 +36,7 @@
 pub mod aggregate;
 pub mod answer;
 pub mod engine;
+mod groups;
 pub mod join;
 pub mod kernel;
 pub mod partial;

@@ -5,15 +5,18 @@
 //! monolithic scan into three mergeable phases, the shape VerdictDB
 //! calls "mergeable per-partition partials":
 //!
-//! 1. [`QueryPlan::compile`] — resolve joins, compile the predicate,
-//!    bind group-by and aggregate slots *once* per query.
+//! 1. [`QueryPlan::compile`] — resolve joins, compile the predicate
+//!    (and lower it for the vectorized kernel), bind group-by and
+//!    aggregate slots *once* per query.
 //! 2. [`QueryPlan::scan`] — evaluate predicates and feed per-group
 //!    [`AggState`] accumulators over any subset of the fact rows (one
 //!    partition per task). A `QueryPlan` is `Sync`, so partitions scan
 //!    concurrently from scoped threads against one shared plan.
 //! 3. [`PartialAggregates::merge`] + [`QueryPlan::finish`] — combine
-//!    count/sum/M2 moments and group maps across partitions, then
-//!    compute the closed-form error bars from the merged moments.
+//!    count/sum/M2 moments and groups across partitions (slot-wise when
+//!    the kernel routed them through dense slots: group keys are then
+//!    materialised once per query, in `finish`), then compute the
+//!    closed-form error bars from the merged moments.
 //!
 //! Merging is exact: the merged state equals the single-pass state up to
 //! floating-point summation order, so the partitioned path reproduces
@@ -23,7 +26,9 @@
 use crate::aggregate::AggState;
 use crate::answer::{AnswerRow, QueryAnswer};
 use crate::engine::RateSpec;
+use crate::groups::{Groups, KeyedGroups, States};
 use crate::join::{match_combinations, DimIndex};
+use crate::kernel::{lower, scan_kernel, KPred};
 use crate::predicate::{compile, Compiled, RowCtx, Slot};
 use blinkdb_common::error::{BlinkError, Result};
 use blinkdb_common::value::Value;
@@ -71,15 +76,25 @@ pub struct QueryPlan<'a> {
     /// Whether any aggregate of this plan actually carries replicate
     /// state (so the scan knows to generate per-row multiplicities).
     pub(crate) any_bootstrap: bool,
-    /// Whether the vectorized kernel path is enabled for this plan
-    /// (from [`crate::engine::ExecOptions::vectorized`]).
-    vectorized: bool,
+    /// The predicate lowered for the vectorized kernel, shared by every
+    /// scan of the plan. `Some` iff the kernel path is taken:
+    /// [`crate::engine::ExecOptions::vectorized`] is on and the plan
+    /// carries no joins (the kernel scans fact columns directly).
+    kernel_pred: Option<KPred>,
 }
 
 impl<'a> QueryPlan<'a> {
     /// Compiles `bound` against a fact table and its dimension tables:
     /// join resolution, predicate compilation, group/aggregate slot
     /// binding. Done once per query regardless of partition count.
+    ///
+    /// Everything a scan needs that does not depend on *which* rows it
+    /// scans is worked out here. In particular, when the plan takes the
+    /// vectorized kernel path ([`QueryPlan::uses_kernel`]) the compiled
+    /// predicate is lowered here to the kernel's columnar form — typed
+    /// comparison leaves and one truth table per string leaf, indexed by
+    /// dictionary code — and every [`QueryPlan::scan_set`] of the plan
+    /// evaluates that one tree. A scan never looks at the dictionary.
     pub fn compile(
         bound: &BoundQuery,
         fact_table: &'a Table,
@@ -204,6 +219,9 @@ impl<'a> QueryPlan<'a> {
             })
         });
 
+        let kernel_pred =
+            (opts.vectorized && join_plans.is_empty()).then(|| lower(&predicate, fact_table));
+
         Ok(QueryPlan {
             tables,
             join_plans,
@@ -214,7 +232,7 @@ impl<'a> QueryPlan<'a> {
             confidence,
             bootstrap: opts.bootstrap,
             any_bootstrap,
-            vectorized: opts.vectorized,
+            kernel_pred,
         })
     }
 
@@ -228,7 +246,7 @@ impl<'a> QueryPlan<'a> {
     /// [`crate::engine::ExecOptions::vectorized`]) and carry no joins
     /// (the kernel scans fact columns directly).
     pub fn uses_kernel(&self) -> bool {
-        self.vectorized && self.join_plans.is_empty()
+        self.kernel_pred.is_some()
     }
 
     /// Scans a [`RowSet`] of fact rows, dispatching to the vectorized
@@ -236,17 +254,16 @@ impl<'a> QueryPlan<'a> {
     /// row-at-a-time [`QueryPlan::scan`] oracle otherwise. Both paths
     /// produce bit-identical [`PartialAggregates`] (pinned by
     /// `tests/kernel_differential.rs`).
-    pub fn scan_set(&self, rows: RowSet<'_>, rates: RateSpec<'_>) -> PartialAggregates {
-        if self.uses_kernel() {
-            crate::kernel::scan_kernel(self, &rows, rates)
-        } else {
-            self.scan(rows.iter(), rates)
+    pub fn scan_set(&self, rows: RowSet<'_>, rates: RateSpec<'_>) -> PartialAggregates<'a> {
+        match &self.kernel_pred {
+            Some(pred) => scan_kernel(self, pred, &rows, rates),
+            None => self.scan(rows.iter(), rates),
         }
     }
 
     /// Creates one group's accumulator vector (one [`AggState`] per
     /// SELECT aggregate, bootstrap attached per the plan's spec).
-    pub(crate) fn new_states(&self) -> Vec<AggState> {
+    pub(crate) fn new_states(&self) -> States {
         self.agg_specs
             .iter()
             .map(|s| AggState::with_bootstrap(&s.func, self.bootstrap))
@@ -333,9 +350,9 @@ impl<'a> QueryPlan<'a> {
         &self,
         physical_rows: impl IntoIterator<Item = usize>,
         rates: RateSpec<'_>,
-    ) -> PartialAggregates {
+    ) -> PartialAggregates<'a> {
         let fact_table = self.tables[0];
-        let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
+        let mut groups = KeyedGroups::new();
         let mut rows_scanned = 0u64;
         let mut rows_matched = 0u64;
         let mut row_buf = vec![0usize; self.tables.len()];
@@ -407,7 +424,7 @@ impl<'a> QueryPlan<'a> {
         }
 
         PartialAggregates {
-            groups,
+            groups: Groups::Keyed(groups),
             rows_scanned,
             rows_matched,
         }
@@ -421,37 +438,38 @@ impl<'a> QueryPlan<'a> {
     /// `scan_exact` says the scan covered full data at rate 1 (the
     /// `RateSpec::Exact` case), in which case empty groups are genuine
     /// zeros rather than subset error.
-    pub fn finish(&self, partial: PartialAggregates, scan_exact: bool) -> QueryAnswer {
+    pub fn finish(&self, partial: PartialAggregates<'_>, scan_exact: bool) -> QueryAnswer {
         let PartialAggregates {
-            mut groups,
+            groups,
             rows_scanned,
             rows_matched,
         } = partial;
 
-        // Global aggregates always produce one row.
-        if self.group_slots.is_empty() && groups.is_empty() {
-            groups.insert(Vec::new(), self.new_states());
-        }
-
-        let mut rows: Vec<AnswerRow> = groups
-            .into_iter()
-            .map(|(group, states)| AnswerRow {
-                group,
-                aggs: states
-                    .into_iter()
-                    .map(|s| {
-                        let mut a = s.finish();
-                        // Zero matching rows in a *sampled* scan is absence of
-                        // evidence, not an exact zero: the sample may simply
-                        // have missed the group (§3.1's subset error).
-                        if !scan_exact && a.rows_used == 0 {
-                            a.exact = false;
-                        }
-                        a
-                    })
-                    .collect(),
-            })
-            .collect();
+        let answer_row = |(group, states): (Vec<Value>, States)| AnswerRow {
+            group,
+            aggs: states
+                .into_iter()
+                .map(|s| {
+                    let mut a = s.finish();
+                    // Zero matching rows in a *sampled* scan is absence of
+                    // evidence, not an exact zero: the sample may simply
+                    // have missed the group (§3.1's subset error).
+                    if !scan_exact && a.rows_used == 0 {
+                        a.exact = false;
+                    }
+                    a
+                })
+                .collect(),
+        };
+        let mut rows: Vec<AnswerRow> = match groups {
+            // Global aggregates always produce one row.
+            Groups::Keyed(groups) if self.group_slots.is_empty() && groups.is_empty() => {
+                vec![answer_row((Vec::new(), self.new_states()))]
+            }
+            Groups::Keyed(groups) => groups.into_iter().map(answer_row).collect(),
+            // Dense slots get their keys here, once per query.
+            Groups::Dense(dense) => dense.into_keyed().map(answer_row).collect(),
+        };
         rows.sort_by(|a, b| cmp_keys(&a.group, &b.group));
 
         QueryAnswer {
@@ -467,33 +485,34 @@ impl<'a> QueryPlan<'a> {
 
 /// The mergeable result of scanning one partition: per-group aggregate
 /// accumulators plus scan statistics.
+///
+/// Groups stay in whichever container the scan routed them through.
+/// When the kernel grouped by dictionary code, flag or integer offset,
+/// that is a flat slot vector: partials of one plan then merge slot by
+/// slot and no `Vec<Value>` group key exists until
+/// [`QueryPlan::finish`] builds each once. Otherwise it is a map keyed
+/// by group key. [`PartialAggregates::merge`] accepts any mix of the two
+/// (it keys the dense side when they meet); the lifetime is that of the
+/// fact table, whose dictionary a dense partial decodes its keys from.
+///
+/// Accumulator merges are not commutative in their floating-point bits:
+/// merge partials in partition order to reproduce an answer bit for bit.
 #[derive(Debug, Clone, Default)]
-pub struct PartialAggregates {
-    pub(crate) groups: HashMap<Vec<Value>, Vec<AggState>>,
+pub struct PartialAggregates<'t> {
+    pub(crate) groups: Groups<'t>,
     /// Physical fact rows scanned by this partial.
     pub rows_scanned: u64,
     /// Joined rows that survived the predicate.
     pub rows_matched: u64,
 }
 
-impl PartialAggregates {
-    /// Merges another partial into this one: group maps union, matching
+impl<'t> PartialAggregates<'t> {
+    /// Merges another partial into this one: groups union, matching
     /// groups merge their accumulators pairwise, scan statistics add.
-    pub fn merge(&mut self, other: PartialAggregates) {
+    pub fn merge(&mut self, other: PartialAggregates<'t>) {
         self.rows_scanned += other.rows_scanned;
         self.rows_matched += other.rows_matched;
-        for (key, states) in other.groups {
-            match self.groups.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(states);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (mine, theirs) in e.get_mut().iter_mut().zip(states) {
-                        mine.merge(theirs);
-                    }
-                }
-            }
-        }
+        self.groups.merge(other.groups);
     }
 
     /// Applies the partial-scan extrapolation: every accumulated weight
@@ -501,11 +520,7 @@ impl PartialAggregates {
     /// [`AggState::scale_weights`]). Exact when the scanned partitions
     /// are a proportional (stratum-aligned) share of the sample.
     pub fn scale_weights(&mut self, alpha: f64) {
-        for states in self.groups.values_mut() {
-            for s in states {
-                s.scale_weights(alpha);
-            }
-        }
+        self.groups.for_each_state(|s| s.scale_weights(alpha));
     }
 
     /// Worst-case `(relative error, absolute CI half-width)` across all
@@ -517,13 +532,11 @@ impl PartialAggregates {
     pub fn scaled_error_bounds(&mut self, alpha: f64, confidence: f64) -> (f64, f64) {
         let mut worst_rel = 0.0f64;
         let mut worst_abs = 0.0f64;
-        for states in self.groups.values_mut() {
-            for state in states {
-                let r = state.scaled_result(alpha);
-                worst_abs = worst_abs.max(r.ci_half_width(confidence));
-                worst_rel = worst_rel.max(r.relative_error(confidence));
-            }
-        }
+        self.groups.for_each_state(|state| {
+            let r = state.scaled_result(alpha);
+            worst_abs = worst_abs.max(r.ci_half_width(confidence));
+            worst_rel = worst_rel.max(r.relative_error(confidence));
+        });
         (worst_rel, worst_abs)
     }
 }

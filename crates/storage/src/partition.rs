@@ -101,8 +101,8 @@ impl PartitionedTable {
                 );
             }
         }
-        let k = k.min(rows.len()).max(1);
-        let mut partitions = vec![Partition::default(); k];
+        let mut partitions = empty_partitions(rows.len(), k);
+        let k = partitions.len();
         // Ids arrive as consecutive runs, so a position counter per run
         // replaces a per-row hash lookup on this per-query path.
         let mut at = 0;
@@ -122,9 +122,21 @@ impl PartitionedTable {
     /// Round-robin partitioning of `rows` into at most `k` parts — the
     /// single-stratum special case, used for uniform samples (any
     /// proportional split of a uniform sample is again uniform).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
     pub fn round_robin(rows: &[u32], k: usize) -> Self {
-        let ids = vec![0u32; rows.len()];
-        PartitionedTable::stratum_aligned(rows, &ids, k)
+        assert!(k > 0, "partition count must be positive");
+        let mut partitions = empty_partitions(rows.len(), k);
+        let k = partitions.len();
+        for (pos, &row) in rows.iter().enumerate() {
+            partitions[pos % k].rows.push(row);
+        }
+        PartitionedTable {
+            partitions,
+            total_rows: rows.len(),
+        }
     }
 
     /// Number of partitions (≥ 1; at most the row count).
@@ -176,6 +188,17 @@ impl PartitionedTable {
     }
 }
 
+/// `min(k, n)` (at least one) empty partitions, each with room for its
+/// proportional share `⌈n/k⌉` of `n` rows.
+fn empty_partitions(n: usize, k: usize) -> Vec<Partition> {
+    let k = k.min(n).max(1);
+    (0..k)
+        .map(|_| Partition {
+            rows: Vec::with_capacity(n.div_ceil(k)),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +247,22 @@ mod tests {
         let pt = PartitionedTable::round_robin(&[], 4);
         assert_eq!(pt.num_partitions(), 1);
         assert_eq!(pt.total_rows(), 0);
+    }
+
+    #[test]
+    fn round_robin_deals_like_one_stratum() {
+        // The uniform deal is the stratum-aligned deal of a single
+        // stratum: same partitions, same row order within each.
+        for (n, k) in [(10u32, 3usize), (2, 8), (0, 4), (1_000, 7)] {
+            let rows: Vec<u32> = (0..n).map(|r| r * 3 + 1).collect();
+            let direct = PartitionedTable::round_robin(&rows, k);
+            let one_stratum = PartitionedTable::stratum_aligned(&rows, &vec![0; rows.len()], k);
+            assert_eq!(direct.total_rows(), one_stratum.total_rows());
+            let parts = |pt: &PartitionedTable| -> Vec<Vec<u32>> {
+                pt.partitions().iter().map(|p| p.rows().to_vec()).collect()
+            };
+            assert_eq!(parts(&direct), parts(&one_stratum), "n={n} k={k}");
+        }
     }
 
     #[test]

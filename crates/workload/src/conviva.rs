@@ -17,6 +17,7 @@
 //! 3.1 KB so the cluster simulator prices full scans at paper scale.
 
 use crate::gen;
+use blinkdb_common::column::Column;
 use blinkdb_common::rng::{derive_seed, seeded};
 use blinkdb_common::schema::{Field, Schema};
 use blinkdb_common::value::DataType;
@@ -43,31 +44,6 @@ pub struct ConvivaDataset {
 pub fn conviva_dataset(rows: usize, seed: u64) -> ConvivaDataset {
     let r = |i: u64| seeded(derive_seed(seed, i));
 
-    let dt = gen::uniform_ints(rows, 1, 30, &mut r(1)); // 30 days of logs
-    let customer = gen::zipf_strings(rows, 2_000, 1.4, "cust", &mut r(2));
-    let city = gen::zipf_strings(rows, 1_500, 1.2, "city", &mut r(3));
-    let country = gen::zipf_strings(rows, 60, 1.3, "ctry", &mut r(4));
-    let dma = gen::zipf_strings(rows, 220, 1.4, "dma", &mut r(5));
-    let asn = gen::zipf_strings(rows, 2_500, 1.5, "asn", &mut r(6));
-    let os = gen::uniform_strings(rows, 6, "os", &mut r(7));
-    let browser = gen::uniform_strings(rows, 8, "br", &mut r(8));
-    let genre = gen::uniform_strings(rows, 20, "genre", &mut r(9));
-    let objectid = gen::zipf_strings(rows, 5_000, 1.6, "obj", &mut r(10));
-    // Join time bucketed to 100 ms steps; zipfian (most sessions join
-    // fast, a long tail of slow joins) so [dt jointimems] is skewed.
-    let jointimems: Vec<i64> = gen::zipf_ints(rows, 150, 1.2, &mut r(11))
-        .into_iter()
-        .map(|v| v * 100)
-        .collect();
-    let sessiontimems = gen::heavy_tailed(rows, 180_000.0, 1.2, &mut r(12));
-    let bufferingms = gen::heavy_tailed(rows, 800.0, 1.5, &mut r(13));
-    // Bitrate ladder: players switch between ~40 discrete encodings.
-    let bitratekbps: Vec<i64> = gen::uniform_ints(rows, 1, 40, &mut r(14))
-        .into_iter()
-        .map(|v| 150 * v)
-        .collect();
-    let endedflag = gen::flags(rows, 0.85, &mut r(15));
-
     let schema = Schema::new(vec![
         Field::new("dt", DataType::Int),
         Field::new("customer", DataType::Str),
@@ -86,23 +62,36 @@ pub fn conviva_dataset(rows: usize, seed: u64) -> ConvivaDataset {
         Field::new("endedflag", DataType::Bool),
     ]);
 
-    use blinkdb_common::column::Column;
+    let zipf = |distinct, s, prefix, stream| {
+        Column::from_strs(gen::zipf_strings(rows, distinct, s, prefix, &mut r(stream)))
+    };
+    let uniform = |distinct, prefix, stream| {
+        Column::from_strs(gen::uniform_strings(rows, distinct, prefix, &mut r(stream)))
+    };
+    let scaled = |v: Vec<i64>, by: i64| Column::from_ints(v.into_iter().map(|x| x * by).collect());
+    // In schema order. Every column draws from its own seed stream and
+    // is encoded as soon as it is generated, so at most one column of
+    // heap strings is alive at a time (all nine at once were 4x the
+    // finished table).
     let columns = vec![
-        Column::from_ints(dt),
-        Column::from_strs(customer),
-        Column::from_strs(city),
-        Column::from_strs(country),
-        Column::from_strs(dma),
-        Column::from_strs(asn),
-        Column::from_strs(os),
-        Column::from_strs(browser),
-        Column::from_strs(genre),
-        Column::from_strs(objectid),
-        Column::from_ints(jointimems),
-        Column::from_floats(sessiontimems),
-        Column::from_floats(bufferingms),
-        Column::from_ints(bitratekbps),
-        Column::from_bools(endedflag),
+        Column::from_ints(gen::uniform_ints(rows, 1, 30, &mut r(1))), // 30 days of logs
+        zipf(2_000, 1.4, "cust", 2),
+        zipf(1_500, 1.2, "city", 3),
+        zipf(60, 1.3, "ctry", 4),
+        zipf(220, 1.4, "dma", 5),
+        zipf(2_500, 1.5, "asn", 6),
+        uniform(6, "os", 7),
+        uniform(8, "br", 8),
+        uniform(20, "genre", 9),
+        zipf(5_000, 1.6, "obj", 10),
+        // Join time bucketed to 100 ms steps; zipfian (most sessions join
+        // fast, a long tail of slow joins) so [dt jointimems] is skewed.
+        scaled(gen::zipf_ints(rows, 150, 1.2, &mut r(11)), 100),
+        Column::from_floats(gen::heavy_tailed(rows, 180_000.0, 1.2, &mut r(12))),
+        Column::from_floats(gen::heavy_tailed(rows, 800.0, 1.5, &mut r(13))),
+        // Bitrate ladder: players switch between ~40 discrete encodings.
+        scaled(gen::uniform_ints(rows, 1, 40, &mut r(14)), 150),
+        Column::from_bools(gen::flags(rows, 0.85, &mut r(15))),
     ];
     let mut table =
         Table::from_columns("sessions", schema, columns).expect("schema matches columns");
@@ -237,6 +226,63 @@ mod tests {
                     d.table.schema().index_of(c).is_some(),
                     "template column `{c}` missing from schema"
                 );
+            }
+        }
+    }
+
+    /// Encoding each column as soon as it is generated builds the same
+    /// table as generating all fifteen first: every cell, and every
+    /// string column's dictionary codes.
+    #[test]
+    fn table_equals_one_built_from_columns_generated_up_front() {
+        const ROWS: usize = 20_000;
+        for seed in [2013, 7] {
+            let r = |i: u64| seeded(derive_seed(seed, i));
+            let dt = gen::uniform_ints(ROWS, 1, 30, &mut r(1));
+            let strs = [
+                gen::zipf_strings(ROWS, 2_000, 1.4, "cust", &mut r(2)),
+                gen::zipf_strings(ROWS, 1_500, 1.2, "city", &mut r(3)),
+                gen::zipf_strings(ROWS, 60, 1.3, "ctry", &mut r(4)),
+                gen::zipf_strings(ROWS, 220, 1.4, "dma", &mut r(5)),
+                gen::zipf_strings(ROWS, 2_500, 1.5, "asn", &mut r(6)),
+                gen::uniform_strings(ROWS, 6, "os", &mut r(7)),
+                gen::uniform_strings(ROWS, 8, "br", &mut r(8)),
+                gen::uniform_strings(ROWS, 20, "genre", &mut r(9)),
+                gen::zipf_strings(ROWS, 5_000, 1.6, "obj", &mut r(10)),
+            ];
+            let jointimems: Vec<i64> = gen::zipf_ints(ROWS, 150, 1.2, &mut r(11))
+                .into_iter()
+                .map(|v| v * 100)
+                .collect();
+            let sessiontimems = gen::heavy_tailed(ROWS, 180_000.0, 1.2, &mut r(12));
+            let bufferingms = gen::heavy_tailed(ROWS, 800.0, 1.5, &mut r(13));
+            let bitratekbps: Vec<i64> = gen::uniform_ints(ROWS, 1, 40, &mut r(14))
+                .into_iter()
+                .map(|v| 150 * v)
+                .collect();
+            let endedflag = gen::flags(ROWS, 0.85, &mut r(15));
+            let mut reference = vec![Column::from_ints(dt)];
+            reference.extend(strs.into_iter().map(Column::from_strs));
+            reference.extend([
+                Column::from_ints(jointimems),
+                Column::from_floats(sessiontimems),
+                Column::from_floats(bufferingms),
+                Column::from_ints(bitratekbps),
+                Column::from_bools(endedflag),
+            ]);
+
+            let table = conviva_dataset(ROWS, seed).table;
+            assert_eq!(table.schema().len(), reference.len());
+            for (c, want) in reference.iter().enumerate() {
+                let got = table.column(c);
+                assert_eq!(
+                    got.strs().map(|s| s.codes()),
+                    want.strs().map(|s| s.codes()),
+                    "seed {seed} column {c}: dictionary codes"
+                );
+                for row in 0..ROWS {
+                    assert_eq!(got.value(row), want.value(row), "seed {seed} column {c}");
+                }
             }
         }
     }

@@ -58,55 +58,63 @@ pub fn conviva_append_batch(spec: &StreamSpec, batch: usize) -> Vec<Vec<Value>> 
             0x5EED_0000 ^ (batch as u64 * 31) ^ i,
         ))
     };
-    let shifted_zipf = |n: usize, distinct: usize, s: f64, prefix: &str, stream: u64| {
+    let shifted_zipf = |distinct: usize, s: f64, prefix: &'static str, stream: u64| {
         gen::zipf_ints(n, distinct, s, &mut r(stream))
             .into_iter()
-            .map(|rank| {
-                format!(
+            .map(move |rank| {
+                Value::str(format!(
                     "{prefix}{}",
                     rotate(rank as usize, spec.skew_shift, distinct)
-                )
+                ))
             })
-            .collect::<Vec<String>>()
     };
+    let uniform = |distinct: usize, prefix: &str, stream: u64| {
+        gen::uniform_strings(n, distinct, prefix, &mut r(stream))
+            .into_iter()
+            .map(Value::str)
+    };
+    let ints = |v: Vec<i64>, scale: i64| v.into_iter().map(move |x| Value::Int(x * scale));
+    let floats = |v: Vec<f64>| v.into_iter().map(Value::Float);
 
-    let dt = gen::uniform_ints(n, 1, 30, &mut r(1));
-    let customer = shifted_zipf(n, 2_000, 1.4, "cust", 2);
-    let city = shifted_zipf(n, 1_500, 1.2, "city", 3);
-    let country = shifted_zipf(n, 60, 1.3, "ctry", 4);
-    let dma = shifted_zipf(n, 220, 1.4, "dma", 5);
-    let asn = shifted_zipf(n, 2_500, 1.5, "asn", 6);
-    let os = gen::uniform_strings(n, 6, "os", &mut r(7));
-    let browser = gen::uniform_strings(n, 8, "br", &mut r(8));
-    let genre = gen::uniform_strings(n, 20, "genre", &mut r(9));
-    let objectid = shifted_zipf(n, 5_000, 1.6, "obj", 10);
-    let jointimems = gen::zipf_ints(n, 150, 1.2, &mut r(11));
-    let sessiontimems = gen::heavy_tailed(n, 180_000.0, 1.2, &mut r(12));
-    let bufferingms = gen::heavy_tailed(n, 800.0, 1.5, &mut r(13));
-    let bitratekbps = gen::uniform_ints(n, 1, 40, &mut r(14));
-    let endedflag = gen::flags(n, 0.85, &mut r(15));
+    // Rows fill column by column, in schema order, so each generated
+    // column is dropped as soon as it is copied in.
+    let mut rows: Vec<Vec<Value>> = (0..n).map(|_| Vec::with_capacity(15)).collect();
+    push_column(&mut rows, ints(gen::uniform_ints(n, 1, 30, &mut r(1)), 1));
+    push_column(&mut rows, shifted_zipf(2_000, 1.4, "cust", 2));
+    push_column(&mut rows, shifted_zipf(1_500, 1.2, "city", 3));
+    push_column(&mut rows, shifted_zipf(60, 1.3, "ctry", 4));
+    push_column(&mut rows, shifted_zipf(220, 1.4, "dma", 5));
+    push_column(&mut rows, shifted_zipf(2_500, 1.5, "asn", 6));
+    push_column(&mut rows, uniform(6, "os", 7));
+    push_column(&mut rows, uniform(8, "br", 8));
+    push_column(&mut rows, uniform(20, "genre", 9));
+    push_column(&mut rows, shifted_zipf(5_000, 1.6, "obj", 10));
+    push_column(
+        &mut rows,
+        ints(gen::zipf_ints(n, 150, 1.2, &mut r(11)), 100),
+    );
+    push_column(
+        &mut rows,
+        floats(gen::heavy_tailed(n, 180_000.0, 1.2, &mut r(12))),
+    );
+    push_column(
+        &mut rows,
+        floats(gen::heavy_tailed(n, 800.0, 1.5, &mut r(13))),
+    );
+    push_column(
+        &mut rows,
+        ints(gen::uniform_ints(n, 1, 40, &mut r(14)), 150),
+    );
+    let flags = gen::flags(n, 0.85, &mut r(15));
+    push_column(&mut rows, flags.into_iter().map(Value::Bool));
+    rows
+}
 
-    (0..n)
-        .map(|i| {
-            vec![
-                Value::Int(dt[i]),
-                Value::str(&customer[i]),
-                Value::str(&city[i]),
-                Value::str(&country[i]),
-                Value::str(&dma[i]),
-                Value::str(&asn[i]),
-                Value::str(&os[i]),
-                Value::str(&browser[i]),
-                Value::str(&genre[i]),
-                Value::str(&objectid[i]),
-                Value::Int(jointimems[i] * 100),
-                Value::Float(sessiontimems[i]),
-                Value::Float(bufferingms[i]),
-                Value::Int(150 * bitratekbps[i]),
-                Value::Bool(endedflag[i]),
-            ]
-        })
-        .collect()
+/// Appends one generated column to every row.
+fn push_column(rows: &mut [Vec<Value>], column: impl Iterator<Item = Value>) {
+    for (row, v) in rows.iter_mut().zip(column) {
+        row.push(v);
+    }
 }
 
 /// The full stream: `spec.batches` batches, lazily generated.
@@ -161,6 +169,72 @@ mod tests {
         assert!(count(&same, "city1") > 200);
         assert!(count(&shifted, "city1") < 50);
         assert!(count(&shifted, "city701") > 200);
+    }
+
+    /// Filling rows column by column yields the batches the generator
+    /// made when it held all fifteen columns before building any row.
+    #[test]
+    fn batches_equal_rows_built_from_columns_generated_up_front() {
+        let spec = StreamSpec {
+            rows_per_batch: 300,
+            batches: 3,
+            seed: 2013,
+            skew_shift: 200,
+        };
+        let n = spec.rows_per_batch;
+        for batch in 0..spec.batches {
+            let r = |i: u64| {
+                seeded(derive_seed(
+                    spec.seed,
+                    0x5EED_0000 ^ (batch as u64 * 31) ^ i,
+                ))
+            };
+            let zipf = |distinct: usize, s: f64, prefix: &str, stream: u64| -> Vec<String> {
+                gen::zipf_ints(n, distinct, s, &mut r(stream))
+                    .into_iter()
+                    .map(|rank| {
+                        let rotated = rotate(rank as usize, spec.skew_shift, distinct);
+                        format!("{prefix}{rotated}")
+                    })
+                    .collect()
+            };
+            let dt = gen::uniform_ints(n, 1, 30, &mut r(1));
+            let strs = [
+                zipf(2_000, 1.4, "cust", 2),
+                zipf(1_500, 1.2, "city", 3),
+                zipf(60, 1.3, "ctry", 4),
+                zipf(220, 1.4, "dma", 5),
+                zipf(2_500, 1.5, "asn", 6),
+                gen::uniform_strings(n, 6, "os", &mut r(7)),
+                gen::uniform_strings(n, 8, "br", &mut r(8)),
+                gen::uniform_strings(n, 20, "genre", &mut r(9)),
+                zipf(5_000, 1.6, "obj", 10),
+            ];
+            let jointimems = gen::zipf_ints(n, 150, 1.2, &mut r(11));
+            let sessiontimems = gen::heavy_tailed(n, 180_000.0, 1.2, &mut r(12));
+            let bufferingms = gen::heavy_tailed(n, 800.0, 1.5, &mut r(13));
+            let bitratekbps = gen::uniform_ints(n, 1, 40, &mut r(14));
+            let endedflag = gen::flags(n, 0.85, &mut r(15));
+            let reference: Vec<Vec<Value>> = (0..n)
+                .map(|i| {
+                    let mut row = vec![Value::Int(dt[i])];
+                    row.extend(strs.iter().map(|col| Value::str(&col[i])));
+                    row.extend([
+                        Value::Int(jointimems[i] * 100),
+                        Value::Float(sessiontimems[i]),
+                        Value::Float(bufferingms[i]),
+                        Value::Int(150 * bitratekbps[i]),
+                        Value::Bool(endedflag[i]),
+                    ]);
+                    row
+                })
+                .collect();
+            assert_eq!(
+                conviva_append_batch(&spec, batch),
+                reference,
+                "batch {batch}"
+            );
+        }
     }
 
     #[test]

@@ -31,9 +31,11 @@ use std::collections::HashMap;
 /// through. Every kernel leaf shape appears: bool columns, numeric
 /// compares on int and float columns (both NULL-bearing), BETWEEN, IN
 /// with and without NULL literals, dictionary-string equality under
-/// NOT, compound AND/OR, plus GROUP BY off, on a dictionary column
-/// (dense path), and on a (Str, Bool) pair (hash path).
-const QUERIES: [&str; 8] = [
+/// NOT, compound AND/OR, plus GROUP BY off, on a dictionary column, a
+/// NULL-bearing bool column and a narrow int column (dense paths), on an
+/// int column with NULLs, negatives and outliers that outgrow the dense
+/// window mid-scan, and on a (Str, Bool) pair (hash path).
+const QUERIES: [&str; 12] = [
     "SELECT COUNT(*) FROM t",
     "SELECT COUNT(*), SUM(x), AVG(x) FROM t WHERE n < 25",
     "SELECT city, COUNT(*), AVG(x) FROM t WHERE ended = true GROUP BY city",
@@ -42,17 +44,23 @@ const QUERIES: [&str; 8] = [
     "SELECT city, ended, COUNT(*), MEDIAN(x) FROM t WHERE n BETWEEN 5 AND 40 GROUP BY city, ended",
     "SELECT QUANTILE(x, 0.9), STDDEV(n) FROM t WHERE n NOT IN (7, NULL) OR ended = false",
     "SELECT city, RATIO(x, n) FROM t WHERE x != NULL OR n >= 30 GROUP BY city",
+    "SELECT ended, COUNT(*), STDDEV(x) FROM t WHERE n > 3 GROUP BY ended",
+    "SELECT n, COUNT(*), MEDIAN(x) FROM t WHERE city != 'city5' GROUP BY n",
+    "SELECT m, COUNT(*), AVG(x) FROM t GROUP BY m",
+    "SELECT m, SUM(n), RATIO(x, n) FROM t WHERE m < 1000 OR ended = true GROUP BY m",
 ];
 
 /// Builds a Conviva-shaped table from proptest-drawn row tuples:
 /// a skewed dictionary column with NULLs, a NULL-bearing float, a
-/// dense int, and a NULL-bearing bool.
+/// dense int, a NULL-bearing bool, and a second int `m` — NULLs,
+/// negatives, and a few values far outside any dense window.
 fn build_table(rows: &[(u8, i64, u32, u8)]) -> Table {
     let schema = Schema::new(vec![
         Field::new("city", DataType::Str),
         Field::new("n", DataType::Int),
         Field::new("x", DataType::Float),
         Field::new("ended", DataType::Bool),
+        Field::new("m", DataType::Int),
     ]);
     let mut t = Table::new("t", schema);
     for &(c, n, v, flag) in rows {
@@ -71,7 +79,12 @@ fn build_table(rows: &[(u8, i64, u32, u8)]) -> Table {
             3 => Value::Null,
             f => Value::Bool(f % 2 == 0),
         };
-        t.push_row(&[city, Value::Int(n), x, ended]).unwrap();
+        let m = match v % 17 {
+            0 => Value::Null,
+            1 => Value::Int(100_000 + n),
+            _ => Value::Int(n - 25),
+        };
+        t.push_row(&[city, Value::Int(n), x, ended, m]).unwrap();
     }
     t
 }
@@ -155,7 +168,9 @@ proptest! {
 
     /// Partitioned fan-out: splitting the scan into K `RowSet::Rows`
     /// slices and merging the partials is bit-identical kernel vs
-    /// scalar — the merge sees identical per-partition bits.
+    /// scalar — the merge sees identical per-partition bits — and so is
+    /// any mix of the two in one merge (the kernel's dense partials
+    /// meeting the oracle's hashed ones of the same plan).
     #[test]
     fn partitioned_kernel_matches_partitioned_scalar(
         rows in prop::collection::vec((0u8..8, 0i64..50, 0u32..1000, 0u8..4), 40..300),
@@ -176,15 +191,24 @@ proptest! {
         prop_assert!(!plan_s.uses_kernel());
 
         let ids: Vec<u32> = (0..t.num_rows() as u32).collect();
-        let run = |plan: &QueryPlan| {
+        let run = |plan: &QueryPlan, oracle_every: usize| {
             let mut acc = PartialAggregates::default();
-            for part in ids.chunks(t.num_rows().div_ceil(k)) {
-                acc.merge(plan.scan_set(RowSet::Rows(part), rates));
+            for (i, part) in ids.chunks(t.num_rows().div_ceil(k)).enumerate() {
+                acc.merge(if i % oracle_every == oracle_every - 1 {
+                    plan.scan(part.iter().map(|&r| r as usize), rates)
+                } else {
+                    plan.scan_set(RowSet::Rows(part), rates)
+                });
             }
             plan.finish(acc, false)
         };
-        prop_assert_eq!(fingerprint(&run(&plan_v)), fingerprint(&run(&plan_s)),
+        let scalar = fingerprint(&run(&plan_s, usize::MAX));
+        prop_assert_eq!(&fingerprint(&run(&plan_v, usize::MAX)), &scalar,
             "query {:?} K={} B={:?}", QUERIES[qi], k, boot);
+        for oracle_every in [1, 2, 3] {
+            prop_assert_eq!(&fingerprint(&run(&plan_v, oracle_every)), &scalar,
+                "query {:?} K={} B={:?} oracle every {}", QUERIES[qi], k, boot, oracle_every);
+        }
     }
 }
 

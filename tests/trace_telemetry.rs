@@ -171,6 +171,103 @@ fn bootstrap_span_present_when_replicates_positive() {
 // Determinism and zero overhead
 // ---------------------------------------------------------------------
 
+/// Family selection (§4.1.1) of a bootstrapped query that no family
+/// covers: one `probe` span per family, in family order, each carrying
+/// the row counts and the price of running the query — replicates and
+/// all — on that family's smallest resolution, although the selection
+/// scans themselves carry no replicates. The winner's probe is then the
+/// ELP probe, so the profile's error is the *bootstrap* error of that
+/// resolution.
+#[test]
+fn selection_probes_of_a_bootstrapped_query_are_booked_per_family_at_full_price() {
+    use blinkdb_cluster::{simulate_job, SimJob};
+    use blinkdb_exec::{execute, ExecOptions, QueryAnswer};
+
+    let (_dataset, db) = fixture_db();
+    let sql = "SELECT STDDEV(sessiontimems), COUNT(*) FROM sessions WHERE os = 'os2' \
+               ERROR WITHIN 10%";
+    let k = 8;
+    let policy = traced_policy(&db, k);
+    let query = blinkdb_sql::parse(sql).expect("parse");
+    let (answer, profile) = db
+        .query_parsed_with(&query, None, Some(policy))
+        .expect("query");
+    let profile = profile.expect("the full pipeline ran");
+    let trace = answer.trace.as_ref().expect("traced");
+    let probes = trace.spans(SpanKind::Probe);
+    let families = db.families();
+    assert!(families.len() > 2, "the fixture builds stratified families");
+    assert!(probes.len() >= families.len(), "every family is probed");
+
+    // The reference: every family's smallest resolution executed with
+    // the query's own (bootstrap) options and priced on the simulator.
+    let replicates = policy.query_replicates(&query);
+    assert!(replicates > 0, "STDDEV bootstraps");
+    let opts = ExecOptions {
+        confidence: db.config().default_confidence,
+        bootstrap: Some(blinkdb_estimator::BootstrapSpec {
+            replicates,
+            seed: blinkdb_common::rng::derive_seed(
+                db.config().seed,
+                0xB007_5EED ^ db.epoch().get(),
+            ),
+            force: false,
+        }),
+        vectorized: true,
+    };
+    let bound = blinkdb_sql::bind::bind(&query, &db.catalog()).expect("bind");
+    let dims = std::collections::HashMap::new();
+    let cfg = db.config();
+    let mut reference: Vec<(f64, QueryAnswer)> = Vec::new();
+    for (fam, span) in families.iter().zip(&probes) {
+        let (view, rates) = fam.view(fam.smallest());
+        let direct = execute(&bound, view, rates, &dims, opts).expect("execute");
+        assert_eq!(span.label, fam.label());
+        assert_eq!(u64_attr(span, "resolution"), fam.smallest() as u64);
+        assert_eq!(u64_attr(span, "rows_scanned"), direct.rows_scanned);
+        assert_eq!(u64_attr(span, "rows_matched"), direct.rows_matched);
+        // `os` is in no family's column set, so nothing is pruned; the
+        // fixture has no jitter, so the price does not depend on the seed.
+        let bytes = fam.resolution_bytes(fam.smallest());
+        let job = SimJob::fanout(bytes / 1e6, k, &cfg.cluster, fam.tier())
+            .with_shuffle(direct.rows.len() as f64 * 128.0 / 1e6);
+        let cost = blinkdb_core::bootstrap_cost_multiplier(replicates)
+            * simulate_job(&cfg.cluster, &cfg.engine, &job, 0).total_s();
+        assert_eq!(span.sim_cost_s.to_bits(), cost.to_bits(), "{}", fam.label());
+        reference.push((bytes, direct));
+    }
+    let booked: f64 = probes.iter().map(|p| p.sim_cost_s).sum();
+    assert_eq!(answer.probe_s.to_bits(), booked.to_bits());
+
+    // §4.1.1 on the reference answers picks the family the pipeline
+    // picked, and the profile carries the winner's bootstrap error.
+    let best = reference
+        .iter()
+        .map(|(_, a)| a.selectivity())
+        .fold(0.0, f64::max);
+    let (winner, (_, elp_probe)) = reference
+        .iter()
+        .enumerate()
+        .filter(|(_, (_, a))| a.selectivity() >= best - 0.05)
+        .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0))
+        .expect("families exist");
+    assert_eq!(profile.family_idx, winner);
+    assert_eq!(answer.family, families[winner].label());
+    assert!(elp_probe.rows_matched > 0, "no escalation in this fixture");
+    assert_eq!(probes.len(), families.len(), "no probe beyond selection");
+    assert_eq!(profile.probe_resolution, families[winner].smallest());
+    assert!(elp_probe.max_relative_error().is_finite());
+    assert_eq!(
+        profile.max_rel_error.to_bits(),
+        elp_probe.max_relative_error().to_bits(),
+        "the ELP probe is the bootstrapped scan, not the selection scan"
+    );
+    assert!(matches!(
+        answer.method,
+        blinkdb_exec::ErrorMethod::Bootstrap { .. }
+    ));
+}
+
 #[test]
 fn traces_are_deterministic_across_runs_at_fixed_seed_and_epoch() {
     let collect = || {
