@@ -90,41 +90,6 @@ pub fn f(v: f64, prec: usize) -> String {
     format!("{v:.prec$}")
 }
 
-/// Writes a machine-readable bench artifact (`BENCH_<name>.json` at the
-/// workspace root): the bench's own summary numbers plus the service's
-/// full telemetry registry snapshot under `"registry"`. The document is
-/// validated before it is written, so CI consumers can rely on it
-/// parsing.
-pub fn write_bench_json(name: &str, summary: &[(String, f64)], registry_json: &str) {
-    // Cargo runs bench binaries with cwd = the package dir; anchor the
-    // artifact at the workspace root so CI finds it in one place.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate lives two levels below the workspace root")
-        .join(name);
-    let path = path.to_string_lossy();
-    let path: &str = &path;
-    let mut out = String::from("{\"summary\":{");
-    for (i, (k, v)) in summary.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        if v.is_finite() {
-            out.push_str(&format!("\"{k}\":{v}"));
-        } else {
-            out.push_str(&format!("\"{k}\":null"));
-        }
-    }
-    out.push_str("},\"registry\":");
-    out.push_str(registry_json);
-    out.push('}');
-    blinkdb_telemetry::validate_json(&out)
-        .unwrap_or_else(|e| panic!("bench artifact {path} is not valid JSON: {e}"));
-    std::fs::write(path, &out).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -599,22 +599,55 @@ mod tests {
         assert_eq!(m.admitted, 0);
     }
 
+    fn job(sql: &str) -> Job {
+        let query = blinkdb_sql::parse(sql).expect("test SQL parses");
+        Job {
+            template: template_key(&query),
+            result: result_key(&query),
+            query,
+            sql: sql.to_string(),
+            handle: HandleState::new(),
+            submitted: Instant::now(),
+            bound_s: None,
+            degraded_epsilon: None,
+        }
+    }
+
     #[test]
     fn queue_backpressure_rejects_when_full() {
+        let queue = JobQueue::new(1);
+        let deadline = Instant::now();
+        assert!(queue
+            .push(deadline, job("SELECT COUNT(*) FROM sessions"))
+            .is_none());
+        let back = queue
+            .push(deadline, job("SELECT AVG(t) FROM sessions"))
+            .expect("a full queue hands the job back");
+        assert_eq!(back.sql, "SELECT AVG(t) FROM sessions");
+        assert_eq!(queue.len(), 1);
+
+        let first = queue.pop().expect("the queued job");
+        assert_eq!(first.sql, "SELECT COUNT(*) FROM sessions");
+        assert!(queue.push(deadline, back).is_none(), "a pop frees the slot");
+
+        queue.shut_down();
+        assert!(queue.pop().is_none(), "shutdown wins over queued work");
+        assert_eq!(queue.drain().len(), 1, "the backlog is left for Drop");
+    }
+
+    #[test]
+    fn service_flood_is_rejected_queue_full() {
         let svc = service(
             20_000,
             ServiceConfig {
                 workers: 1,
                 queue_capacity: 1,
-                // Result caching off and a dilated "cluster round trip"
-                // per query, so the single worker is provably occupied
-                // while the flood below arrives.
                 result_cache_capacity: 0,
-                sim_dilation: 0.01,
                 ..ServiceConfig::default()
             },
         );
-        // Flood with enough work that the single-slot queue overflows.
+        // Flood with enough work that the single-slot queue overflows:
+        // one worker scanning 20k rows falls behind a loop of submits.
         let mut handles = Vec::new();
         let mut saw_queue_full = false;
         for i in 0..32 {

@@ -36,13 +36,6 @@ pub struct ServiceConfig {
     /// ε) when satisfying the requested ε is predicted to blow the
     /// latency SLO. With `false` such queries are admitted unchanged.
     pub degrade: bool,
-    /// Wall-clock seconds a worker stays occupied per *simulated* second
-    /// of the query it ran — the serving-tier analogue of the cluster
-    /// round trip the paper's driver blocks on. `0` (default) disposes
-    /// of queries as fast as the local CPU allows; a positive dilation
-    /// makes worker-pool sizing observable: in-flight "cluster jobs"
-    /// overlap across workers exactly as concurrent Shark jobs would.
-    pub sim_dilation: f64,
     /// Per-query partitioned-execution override ([`ExecPolicy`]:
     /// partition fan-out, local scan parallelism, early termination).
     /// `None` (default) uses the shared instance's `config.exec`.
@@ -84,7 +77,6 @@ impl Default for ServiceConfig {
             result_cache_capacity: 512,
             default_deadline_s: 30.0,
             degrade: true,
-            sim_dilation: 0.0,
             exec: None,
             trace: false,
             slow_log_capacity: 64,

@@ -16,7 +16,6 @@ use blinkdb_telemetry::{
     QuerySample, QueryTrace, ServeOutcome, SlowOutcome, SlowQueryRecord, SpanKind, TraceSpan,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 pub(crate) fn worker_loop(inner: &Inner) {
     while let Some(job) = inner.queue.pop() {
@@ -45,13 +44,6 @@ fn run_job(inner: &Inner, job: Job) {
             };
             if let Some(p) = fresh_profile {
                 inner.elp.put(job.template.clone(), p);
-            }
-            if inner.cfg.sim_dilation > 0.0 {
-                // Hold the worker for the (dilated) simulated response
-                // time — the cluster is executing; this slot is busy.
-                std::thread::sleep(Duration::from_secs_f64(
-                    answer.elapsed_s * inner.cfg.sim_dilation,
-                ));
             }
             let missed = job.bound_s.is_some_and(|bound| answer.elapsed_s > bound);
             if missed {

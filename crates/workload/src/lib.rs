@@ -24,24 +24,18 @@
 //!   dimension) and the 6-template workload of Fig. 6(b).
 //! * [`queries`] — instantiating templates into concrete SQL, including
 //!   the *selective* and *bulk* suites of Fig. 8(c).
-//! * [`driver`] — closed-loop concurrent client harness replaying a
-//!   template mix against any SQL-answering endpoint (§6.4's multi-user
-//!   serving scenario; used by the `service_saturation` bench and the
-//!   service stress tests).
 //! * [`stream`] — streaming append batches in the Conviva schema, with
 //!   an optional zipf-rank rotation that shifts which strata are hot
 //!   (drives the live-ingestion scenario: folds under small drift, full
 //!   refreshes past the threshold).
 
 pub mod conviva;
-pub mod driver;
 pub mod gen;
 pub mod queries;
 pub mod stream;
 pub mod tpch;
 
 pub use conviva::{conviva_dataset, ConvivaDataset};
-pub use driver::{run_closed_loop, ClosedLoopSpec, DriverReport, SubmitOutcome};
 pub use queries::{instantiate, BoundSpec, QuerySpec};
 pub use stream::{conviva_append_batch, conviva_stream, StreamSpec};
 pub use tpch::{tpch_dataset, TpchDataset};

@@ -7,15 +7,18 @@
 //!   at a fixed seed/epoch (two identically-driven services agree
 //!   byte-for-byte);
 //! * the advisor flags unserved QCS mass and emits a ranked `BUILD`
-//!   recommendation for it — advisory only, never advancing an epoch;
+//!   recommendation for it — advisory only, never advancing an epoch —
+//!   and re-solving with the recommended columns raises the stratified
+//!   hit rate on the same queries and shrinks the unserved share;
 //! * ELP calibration under ingest drift: skewed appended batches plus
 //!   an injected prediction miscalibration move the per-template
 //!   calibration ratio, fire `elp_miscalibrated`, invalidate the
 //!   template's cached plan profile, and resolve on recovery;
 //! * slow-query records carry the canonical template key and QCS.
 
-use blinkdb_core::{BlinkDb, BlinkDbConfig};
+use blinkdb_core::{BlinkDb, BlinkDbConfig, Recommendation};
 use blinkdb_service::{ProfileConfig, QueryService, ServiceConfig};
+use blinkdb_sql::template::WeightedTemplate;
 use blinkdb_telemetry::{validate_prometheus, AlertState, SlowOutcome};
 use blinkdb_workload::conviva::conviva_dataset;
 use blinkdb_workload::stream::{conviva_append_batch, StreamSpec};
@@ -28,6 +31,13 @@ const SEED: u64 = 2013;
 /// counter, so two instances replay identical simulated-latency streams.
 fn fixture_db() -> (blinkdb_workload::ConvivaDataset, BlinkDb) {
     let dataset = conviva_dataset(ROWS, SEED);
+    let db = solve(&dataset, &dataset.templates);
+    (dataset, db)
+}
+
+/// The fixture's instance with samples solved for `templates` at the
+/// fixture's budget.
+fn solve(dataset: &blinkdb_workload::ConvivaDataset, templates: &[WeightedTemplate]) -> BlinkDb {
     let mut cfg = BlinkDbConfig::default();
     cfg.cluster.jitter = 0.0;
     cfg.stratified.cap = 150.0;
@@ -37,8 +47,8 @@ fn fixture_db() -> (blinkdb_workload::ConvivaDataset, BlinkDb) {
     cfg.optimizer.cap = 150.0;
     cfg.seed = SEED;
     let mut db = BlinkDb::new(dataset.table.clone(), cfg);
-    db.create_samples(&dataset.templates, 0.5).expect("samples");
-    (dataset, db)
+    db.create_samples(templates, 0.5).expect("samples");
+    db
 }
 
 /// Distinct query column sets: {dt}, {city, dt}, {country}, {} — every
@@ -190,9 +200,34 @@ fn explain_workload_lists_qcs_mass_family_hit_rate_and_calibration() {
     }
 }
 
+/// Serves `sqls` through a fresh one-worker service over `db`.
+fn serve(db: BlinkDb, sqls: &[String]) -> QueryService {
+    let service = QueryService::new(
+        Arc::new(db),
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    for sql in sqls {
+        run(&service, sql);
+    }
+    service
+}
+
+/// Stratified-family hit rate over every profiled completion.
+fn hit_rate(service: &QueryService) -> f64 {
+    let snap = service.profiler().expect("profiling on").snapshot();
+    let (hits, queries) = snap
+        .qcs
+        .iter()
+        .fold((0, 0), |(h, n), q| (h + q.hits, n + q.queries));
+    hits as f64 / queries.max(1) as f64
+}
+
 #[test]
 fn advisor_flags_unserved_mass_and_recommends_build() {
-    let (_dataset, db) = fixture_db();
+    let (dataset, db) = fixture_db();
     // Fixture sanity: no stratified family covers {genre} (the paper
     // notes genre is frequently queried but not worth stratifying, and
     // the optimizer agrees at this budget).
@@ -202,23 +237,16 @@ fn advisor_flags_unserved_mass_and_recommends_build() {
             .any(|f| !f.is_uniform() && f.columns().contains("genre")),
         "fixture families unexpectedly cover genre"
     );
-    let service = QueryService::new(
-        Arc::new(db),
-        ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        },
-    );
-    let epoch_before = service.current_epoch();
-    for i in 0..8 {
-        run(
-            &service,
-            &format!(
+    let genre: Vec<String> = (0..8)
+        .map(|i| {
+            format!(
                 "SELECT genre, AVG(sessiontimems) FROM sessions WHERE dt <= {} GROUP BY genre",
                 3 + i
-            ),
-        );
-    }
+            )
+        })
+        .collect();
+    let service = serve(db.clone(), &genre);
+    let epoch_before = service.current_epoch();
     let advice = service.workload_advice().expect("profiling on");
     assert!(
         advice.unserved_share > 0.5,
@@ -234,6 +262,51 @@ fn advisor_flags_unserved_mass_and_recommends_build() {
     assert_eq!(service.current_epoch(), epoch_before);
     let report = service.workload_report();
     assert!(report.contains("BUILD"), "{report}");
+
+    // Acting on the advice works. The optimizer still declines to
+    // stratify genre once asked, so this half runs an ASN-heavy mix the
+    // fixture does not cover either (two ASN dashboards per city one).
+    // Its top BUILD, added as a template weighted by the unserved share
+    // and re-solved at the same budget, must serve the same queries from
+    // a stratified family more often and leave less mass unserved.
+    let shifted: Vec<String> = (0..24)
+        .map(|i| {
+            let col = if i % 3 == 2 { "city" } else { "asn" };
+            format!(
+                "SELECT {col}, AVG(sessiontimems) FROM sessions WHERE {col} != 'zz{i}' GROUP BY {col}"
+            )
+        })
+        .collect();
+    let before = serve(db, &shifted);
+    let advice = before.workload_advice().expect("profiling on");
+    let (columns, share) = advice
+        .recommendations
+        .iter()
+        .find_map(|r| match r {
+            Recommendation::Build { columns, share } => Some((columns.clone(), *share)),
+            _ => None,
+        })
+        .expect("the ASN-heavy mix draws a BUILD recommendation");
+    let mut templates = dataset.templates.clone();
+    templates.push(WeightedTemplate {
+        columns,
+        weight: share.clamp(0.05, 1.0),
+    });
+    let after = serve(solve(&dataset, &templates), &shifted);
+    let (hit_before, hit_after) = (hit_rate(&before), hit_rate(&after));
+    let unserved_after = after
+        .workload_advice()
+        .expect("profiling on")
+        .unserved_share;
+    assert!(
+        hit_after > hit_before,
+        "the BUILD must raise the stratified hit rate: {hit_before:.3} -> {hit_after:.3}"
+    );
+    assert!(
+        unserved_after < advice.unserved_share,
+        "the BUILD must shrink the unserved share: {:.3} -> {unserved_after:.3}",
+        advice.unserved_share
+    );
 }
 
 // ---------------------------------------------------------------------
