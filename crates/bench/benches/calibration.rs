@@ -19,7 +19,7 @@
 //! bootstrap-estimated aggregate (RATIO/STDDEV/COUNT/SUM/AVG) and the
 //! overhead ratio ≤ 2.5.
 
-use blinkdb_bench::{banner, f, row};
+use blinkdb_bench::{smoke, table};
 use blinkdb_common::rng::{mix2, splitmix64};
 use blinkdb_common::schema::{Field, Schema};
 use blinkdb_common::value::{DataType, Value};
@@ -242,49 +242,56 @@ fn overhead_ratio(rows: usize) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::var("BLINKDB_BENCH_SMOKE").is_ok();
+    let smoke = smoke();
     let (pop_rows, trials, perf_rows) = if smoke {
         (40_000, 150u64, 400_000)
     } else {
         (60_000, 400u64, 1_500_000)
     };
-    banner(
-        "Estimator calibration",
-        "Empirical 2σ CI coverage over independent sample draws (target ≈95%), \
-         closed form vs single-pass Poissonized bootstrap; plus the B=100 overhead budget.",
+    println!(
+        "Estimator calibration: empirical 2σ CI coverage over independent sample draws \
+         (target ≈95%), closed form vs single-pass Poissonized bootstrap; plus the B=100 \
+         overhead budget.\n"
     );
 
     let pop = population(pop_rows);
     let closed = run_coverage(&pop, trials, false);
     let boot = run_coverage(&pop, trials, true);
 
-    row(&[
-        "aggregate".into(),
-        "closed cov".into(),
-        "boot cov".into(),
-        "closed σ̄".into(),
-        "boot σ̄".into(),
-        "σ drift".into(),
-    ]);
-    for (i, label) in pop.labels.iter().enumerate() {
-        let drift = if closed.mean_sigma[i] > 0.0 && closed.mean_sigma[i].is_finite() {
-            boot.mean_sigma[i] / closed.mean_sigma[i]
-        } else {
-            f64::NAN
-        };
-        row(&[
-            (*label).into(),
-            f(100.0 * closed.rate(i), 1) + "%",
-            f(100.0 * boot.rate(i), 1) + "%",
-            f(closed.mean_sigma[i], 3),
-            f(boot.mean_sigma[i], 3),
-            if drift.is_nan() {
-                "n/a".into()
+    let rows: Vec<Vec<String>> = pop
+        .labels
+        .iter()
+        .enumerate()
+        .map(|(i, label)| {
+            let drift = if closed.mean_sigma[i] > 0.0 && closed.mean_sigma[i].is_finite() {
+                format!("{:.3}x", boot.mean_sigma[i] / closed.mean_sigma[i])
             } else {
-                f(drift, 3) + "x"
-            },
-        ]);
-    }
+                "n/a".into()
+            };
+            vec![
+                (*label).into(),
+                format!("{:.1}%", 100.0 * closed.rate(i)),
+                format!("{:.1}%", 100.0 * boot.rate(i)),
+                format!("{:.3}", closed.mean_sigma[i]),
+                format!("{:.3}", boot.mean_sigma[i]),
+                drift,
+            ]
+        })
+        .collect();
+    print!(
+        "{}",
+        table(
+            &[
+                "aggregate",
+                "closed cov",
+                "boot cov",
+                "closed σ̄",
+                "boot σ̄",
+                "σ drift"
+            ],
+            &rows
+        )
+    );
     println!(
         "({} trials, Bernoulli sample rate {}, B = 100, 2σ bands)",
         trials, SAMPLE_RATE

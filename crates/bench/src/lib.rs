@@ -1,10 +1,12 @@
-//! Shared plumbing for the figure/table benchmark harnesses.
+//! Shared plumbing for the paper-reproduction bench.
 //!
-//! Every `benches/figNN.rs` target regenerates one table or figure of
-//! the paper's evaluation (§6): it builds the corresponding workload,
-//! runs the systems under comparison, and prints the same rows/series
-//! the paper plots. CHANGES.md records the paper-vs-measured values each
-//! PR observed; wall-clock numbers live in `blinkbench/README.md`.
+//! `benches/repro.rs` regenerates the paper's evaluation (§6): each
+//! figure, table and ablation builds its workload, runs the systems under
+//! comparison and returns [`Claim`] rows — the paper's result beside the
+//! measured one, with a verdict. [`claims_table`] renders them; the
+//! full-size run writes the table to `EXPERIMENTS.md`. `benches/calibration.rs`
+//! checks the error-bar contract. Wall-clock numbers come from
+//! `blinkbench`, not from here.
 
 use blinkdb_core::blinkdb::{BlinkDb, BlinkDbConfig};
 use blinkdb_storage::StorageTier;
@@ -69,25 +71,66 @@ pub fn set_all_tiers(db: &mut BlinkDb, tier: StorageTier) {
     }
 }
 
-/// Prints a header box for a harness.
-pub fn banner(title: &str, caption: &str) {
-    println!("\n=== {title} ===");
-    println!("{caption}");
-    println!("{}", "-".repeat(72));
+/// Whether `BLINKDB_BENCH_SMOKE` asks for the CI-sized run.
+pub fn smoke() -> bool {
+    std::env::var_os("BLINKDB_BENCH_SMOKE").is_some()
 }
 
-/// Prints one aligned row of up to 8 columns.
-pub fn row(cells: &[String]) {
-    let mut line = String::new();
-    for c in cells {
-        line.push_str(&format!("{c:>16}"));
+/// One checked paper claim: a row of the reproduction table.
+#[derive(Debug)]
+pub struct Claim {
+    /// The figure, table or ablation the claim belongs to.
+    pub figure: &'static str,
+    /// The claim, in the paper's words where it states one.
+    pub claim: &'static str,
+    /// The paper's value or shape.
+    pub paper: &'static str,
+    /// What this run measured.
+    pub measured: String,
+    /// Whether the measurement bears the claim out.
+    pub holds: bool,
+    /// An asserted claim fails the run when it does not hold.
+    pub asserted: bool,
+}
+
+impl Claim {
+    /// `holds` or `differs`, marked when the claim is asserted.
+    pub fn verdict(&self) -> &'static str {
+        match (self.holds, self.asserted) {
+            (true, false) => "holds",
+            (false, false) => "differs",
+            (true, true) => "holds (asserted)",
+            (false, true) => "FAILS (asserted)",
+        }
     }
-    println!("{line}");
 }
 
-/// Convenience: a `String` cell from a float with given precision.
-pub fn f(v: f64, prec: usize) -> String {
-    format!("{v:.prec$}")
+/// Renders `rows` under `header` as a Markdown table.
+pub fn table(header: &[&str], rows: &[Vec<String>]) -> String {
+    let line = |cells: Vec<&str>| format!("| {} |\n", cells.join(" | "));
+    let mut out = line(header.to_vec());
+    out += &line(vec!["---"; header.len()]);
+    for r in rows {
+        out += &line(r.iter().map(String::as_str).collect());
+    }
+    out
+}
+
+/// Renders claims as the reproduction table.
+pub fn claims_table(claims: &[Claim]) -> String {
+    let rows: Vec<Vec<String>> = claims
+        .iter()
+        .map(|c| {
+            vec![
+                c.figure.to_string(),
+                c.claim.to_string(),
+                c.paper.to_string(),
+                c.measured.clone(),
+                c.verdict().to_string(),
+            ]
+        })
+        .collect();
+    table(&["figure", "claim", "paper", "measured", "verdict"], &rows)
 }
 
 #[cfg(test)]
@@ -99,5 +142,23 @@ mod tests {
         let (dataset, db) = conviva_db(8_000, 0.5);
         assert_eq!(dataset.templates.len(), 42);
         assert!(db.families().len() >= 2);
+    }
+
+    #[test]
+    fn claims_render_one_row_each_with_a_verdict() {
+        let claim = |holds, asserted| Claim {
+            figure: "Fig. 0",
+            claim: "c",
+            paper: "p",
+            measured: "m".into(),
+            holds,
+            asserted,
+        };
+        let out = claims_table(&[claim(true, false), claim(false, true)]);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert_eq!(lines[0], "| figure | claim | paper | measured | verdict |");
+        assert_eq!(lines[2], "| Fig. 0 | c | p | m | holds |");
+        assert_eq!(lines[3], "| Fig. 0 | c | p | m | FAILS (asserted) |");
     }
 }

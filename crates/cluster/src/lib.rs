@@ -21,7 +21,7 @@
 //! Calibration targets are taken from the paper itself (§1: full scans of
 //! 10 TB take 30–45 min on disk, 5–10 min cached; §6.2: Shark-cached
 //! answers a 2.5 TB aggregate in ≈112 s; BlinkDB answers 17 TB queries in
-//! ≈2 s) — see `engine` for the constants and `benches/fig6c.rs` in
+//! ≈2 s) — see `engine` for the constants and the `repro` bench in
 //! `blinkdb-bench` for the resulting reproduction of Fig. 6(c).
 
 pub mod config;

@@ -61,8 +61,9 @@ pub struct ExecPolicy {
     pub partitions: usize,
     /// Worker threads scanning partitions concurrently on this host
     /// (`0` = all available cores). Purely local: it bounds real CPU
-    /// use and the early-termination wave size, not the simulated
-    /// cluster fan-out.
+    /// use, not the simulated cluster fan-out, and never changes an
+    /// answer (early termination checks its bound after every
+    /// partition, whatever the wave width).
     pub parallelism: usize,
     /// When `true`, an `ERROR WITHIN` query stops launching partitions
     /// as soon as the running (extrapolated) confidence interval already

@@ -298,9 +298,12 @@ struct FinalRun {
 /// resolution into stratum-aligned partitions, scan them on a scoped
 /// thread pool in waves of `policy.parallelism`, merge the partial
 /// aggregates, and — for `ERROR`-bounded queries with
-/// `policy.early_termination` — stop between waves once the running
-/// confidence interval (extrapolated to the full resolution by the
-/// proportional-allocation weight correction) already meets the bound.
+/// `policy.early_termination` — stop after the first partition (in
+/// partition order) at which the running confidence interval
+/// (extrapolated to the full resolution by the proportional-allocation
+/// weight correction) already meets the bound. The check runs after
+/// every partition, not every wave, so the answer is the same on every
+/// host; partials scanned past the stopping point are discarded.
 /// Locally, remaining partitions are never launched; the cluster cost
 /// model prices the same outcome as all-K-wide streaming aggregation
 /// cancelled at the scanned fraction — each task stops after `m/K` of
@@ -360,10 +363,10 @@ fn execute_final(
         }
         _ => None,
     };
-    // The bound check runs *between* waves, so an armed early
-    // termination caps the wave size below the partition count —
-    // otherwise a wide host (parallelism ≥ k) would scan everything in
-    // one wave and the opted-in incremental exit could never fire.
+    // An armed early termination checks the bound after every partition
+    // in partition order, so the answer never depends on the wave width;
+    // the width only bounds the partitions scanned past the stopping
+    // point, so it is capped below the partition count.
     let wave = match &early {
         Some(_) => policy.effective_parallelism(k).min(k.div_ceil(4)),
         None => policy.effective_parallelism(k),
@@ -377,15 +380,10 @@ fn execute_final(
     while done < k {
         let end = (done + wave).min(k);
         let wave_parts = &parts.partitions()[done..end];
-        if wave_parts.len() == 1 {
-            let p = &wave_parts[0];
-            let partial = plan.scan_set(RowSet::Rows(p.rows()), rates);
-            if let Some(stats) = &mut partition_stats {
-                stats.push((partial.rows_scanned, partial.rows_matched));
-            }
-            acc.merge(partial);
+        let partials: Vec<PartialAggregates> = if wave_parts.len() == 1 {
+            vec![plan.scan_set(RowSet::Rows(wave_parts[0].rows()), rates)]
         } else {
-            let partials: Vec<PartialAggregates> = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = wave_parts
                     .iter()
                     .map(|p| {
@@ -397,19 +395,20 @@ fn execute_final(
                     .into_iter()
                     .map(|h| h.join().expect("partition scan panicked"))
                     .collect()
-            });
-            for partial in partials {
-                if let Some(stats) = &mut partition_stats {
-                    stats.push((partial.rows_scanned, partial.rows_matched));
-                }
-                acc.merge(partial);
+            })
+        };
+        for partial in partials {
+            if let Some(stats) = &mut partition_stats {
+                stats.push((partial.rows_scanned, partial.rows_matched));
             }
-        }
-        done = end;
-        if done >= k {
-            break;
-        }
-        if let Some(target) = &early {
+            acc.merge(partial);
+            done += 1;
+            if done >= k {
+                break;
+            }
+            let Some(target) = &early else {
+                continue;
+            };
             if acc.rows_matched == 0 || acc.rows_scanned == 0 {
                 continue; // No evidence yet; keep scanning.
             }
@@ -1431,45 +1430,55 @@ mod tests {
     /// With early termination enabled, an ERROR-bounded query whose
     /// chosen resolution overshoots the bound cancels remaining
     /// partitions — and the extrapolated answer still meets the bound
-    /// and stays near the truth.
+    /// and stays near the truth. The bound is checked after every
+    /// partition, so the answer is bit-identical at every parallelism.
     #[test]
     fn early_termination_cancels_partitions_and_meets_bound() {
         let db = scaled_db();
         let truth = 40_000.0 / 113.0 * 60.0; // COUNT(t < 60) ≈ 21 240
-        let mut fired = false;
-        for eps_pct in [2.0f64, 3.0, 4.0, 6.0, 8.0, 12.0] {
-            let sql = format!(
-                "SELECT COUNT(*) FROM s WHERE t < 60 ERROR WITHIN {eps_pct}% AT CONFIDENCE 95%"
-            );
-            let q = blinkdb_sql::parse(&sql).unwrap();
-            // Default parallelism (all host cores): the armed check must
-            // still run between waves regardless of host width.
-            let policy = ExecPolicy {
-                partitions: 16,
-                parallelism: 0,
-                early_termination: true,
-                ..ExecPolicy::default()
-            };
-            let (ans, _) = db.query_parsed_with(&q, None, Some(policy)).unwrap();
-            let est = ans.answer.rows[0].aggs[0].estimate;
-            assert!(
-                (est - truth).abs() / truth < 0.2,
-                "eps {eps_pct}%: estimate {est} vs truth {truth}"
-            );
-            if ans.partitions_scanned < ans.partitions_total {
-                fired = true;
-                assert!(
-                    ans.answer.max_relative_error() <= eps_pct / 100.0 + 1e-12,
-                    "terminated early but bound unmet at {eps_pct}%"
+        let sweep = |parallelism: usize| {
+            let mut fired = false;
+            let mut bits = Vec::new();
+            for eps_pct in [2.0f64, 3.0, 4.0, 6.0, 8.0, 12.0] {
+                let sql = format!(
+                    "SELECT COUNT(*) FROM s WHERE t < 60 ERROR WITHIN {eps_pct}% AT CONFIDENCE 95%"
                 );
-                assert!(ans.rows_read > 0);
+                let q = blinkdb_sql::parse(&sql).unwrap();
+                let policy = ExecPolicy {
+                    partitions: 16,
+                    parallelism,
+                    early_termination: true,
+                    ..ExecPolicy::default()
+                };
+                let (ans, _) = db.query_parsed_with(&q, None, Some(policy)).unwrap();
+                let est = ans.answer.rows[0].aggs[0].estimate;
+                assert!(
+                    (est - truth).abs() / truth < 0.2,
+                    "eps {eps_pct}%: estimate {est} vs truth {truth}"
+                );
+                if ans.partitions_scanned < ans.partitions_total {
+                    fired = true;
+                    assert!(
+                        ans.answer.max_relative_error() <= eps_pct / 100.0 + 1e-12,
+                        "terminated early but bound unmet at {eps_pct}%"
+                    );
+                    assert!(ans.rows_read > 0);
+                }
+                let (scanned, elapsed) = (ans.partitions_scanned, ans.elapsed_s);
+                bits.push((est.to_bits(), scanned, ans.rows_read, elapsed.to_bits()));
             }
+            assert!(
+                fired,
+                "no epsilon in the sweep triggered early termination — \
+                 the incremental path never exercised"
+            );
+            bits
+        };
+        let serial = sweep(1);
+        // 0 = all host cores.
+        for parallelism in [0, 2, 4] {
+            assert_eq!(sweep(parallelism), serial, "parallelism {parallelism}");
         }
-        assert!(
-            fired,
-            "no epsilon in the sweep triggered early termination — \
-             the incremental path never exercised"
-        );
     }
 
     /// A profile fitted at one fan-out width is rejected when replayed

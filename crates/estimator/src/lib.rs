@@ -54,7 +54,7 @@ pub const DEFAULT_REPLICATES: u32 = 100;
 const W_EXACT: f64 = 1.0 + 1e-12;
 
 /// Maximum moment entries per replicate state. Finalization works on a
-/// stack scratch buffer of this width (no allocation in the between-wave
+/// stack scratch buffer of this width (no allocation in the per-partition
 /// bound checks); [`Replicates::new`] rejects wider aggregates up front.
 pub const MAX_ENTRIES: usize = 8;
 
@@ -469,7 +469,7 @@ impl Replicates {
     }
 
     /// [`Replicates::variance`] as if every weight were rescaled by
-    /// `alpha` — the between-wave bound check of incremental execution
+    /// `alpha` — the per-partition bound check of incremental execution
     /// reads this without mutating the accumulator.
     pub fn variance_scaled(&self, alpha: f64) -> f64 {
         let b = self.replicates() as usize;

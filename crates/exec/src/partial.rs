@@ -525,7 +525,7 @@ impl<'t> PartialAggregates<'t> {
 
     /// Worst-case `(relative error, absolute CI half-width)` across all
     /// groups and aggregates if every weight were rescaled by `alpha`,
-    /// at `confidence` — the between-wave bound check of incremental
+    /// at `confidence` — the per-partition bound check of incremental
     /// execution. Computed state-by-state via
     /// [`AggState::scaled_result`], so no accumulator clone is needed
     /// (quantile reservoirs stay in place).

@@ -233,8 +233,8 @@ impl Table {
     /// multiplier and simulated `row_bytes` per logical row.
     ///
     /// Used by workload generators to make a few million generated rows
-    /// stand in for the paper's multi-terabyte tables (each harness under
-    /// `crates/bench/benches/` states the scale it sets).
+    /// stand in for the paper's multi-terabyte tables (each figure in
+    /// `crates/bench/benches/repro.rs` states the scale it sets).
     pub fn set_logical_scale(&mut self, logical_rows_per_row: f64, row_bytes: u64) {
         assert!(
             logical_rows_per_row >= 1.0,

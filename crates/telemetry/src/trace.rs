@@ -47,7 +47,7 @@ pub enum SpanKind {
     Execute,
     /// One partition scan of the final run.
     Partition,
-    /// Early-termination error-bound check between waves.
+    /// Early-termination error-bound check after a partition's merge.
     WaveCheck,
     /// Bootstrap replicate work (present when B > 0).
     Bootstrap,

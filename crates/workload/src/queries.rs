@@ -157,7 +157,12 @@ pub fn selective_suite(
     let idx = table.schema().index_of(skewed_col).expect("column exists");
     let freqs = table.group_frequencies(&[idx]);
     let mut by_freq: Vec<(&Vec<Value>, &u64)> = freqs.iter().collect();
-    by_freq.sort_by_key(|(_, &f)| f);
+    // Ties in frequency break by value: the map's iteration order differs
+    // from run to run, and the suite must not.
+    by_freq.sort_by(|(ka, fa), (kb, fb)| {
+        fa.cmp(fb)
+            .then_with(|| ka[0].sql_cmp(&kb[0]).unwrap_or(std::cmp::Ordering::Equal))
+    });
     // Rare half, excluding singletons (which would be trivially exact).
     let rare: Vec<&Vec<Value>> = by_freq
         .iter()
@@ -336,6 +341,21 @@ mod tests {
             &mut rng,
         );
         assert!(q.sql.contains("ERROR WITHIN 2% AT CONFIDENCE 99%"));
+    }
+
+    #[test]
+    fn selective_suite_is_the_same_for_the_same_seed() {
+        let d = conviva_dataset(20_000, 4);
+        let suite = || -> Vec<String> {
+            selective_suite(&d.table, "city", "sessiontimems", 16, BoundSpec::None, 1)
+                .into_iter()
+                .map(|q| q.sql)
+                .collect()
+        };
+        let first = suite();
+        for _ in 0..8 {
+            assert_eq!(suite(), first);
+        }
     }
 
     #[test]
