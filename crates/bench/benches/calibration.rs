@@ -219,7 +219,7 @@ fn overhead_ratio(rows: usize) -> f64 {
     )
     .unwrap();
     let all: Vec<u32> = (0..rows as u32).collect();
-    let parts = PartitionedTable::round_robin(&all, 8);
+    let parts = PartitionedTable::uniform(&all, all.len(), 8);
 
     // Warm both plans once, then take the best of 5 (damps scheduler
     // noise — the ratio, not the absolute time, is the budget).

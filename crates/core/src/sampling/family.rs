@@ -222,16 +222,29 @@ impl SampleFamily {
     /// Splits resolution `idx` into at most `k` stratum-aligned
     /// partitions for data-parallel execution (§4.2/§5).
     ///
-    /// For a stratified family, rows of each φ-stratum (contiguous runs
-    /// in the φ-sorted family table) are dealt round-robin across the
-    /// partitions, so every partition holds a proportional share of
-    /// every stratum and remains a valid mini-sample under the family's
-    /// per-row rates. The uniform family needs no alignment — any
-    /// proportional split of a uniform sample is again uniform.
-    pub fn partitioned(&self, idx: usize, k: usize) -> PartitionedTable {
+    /// Every run of rows in shuffle order is dealt into `k` contiguous
+    /// blocks, one per partition ([`PartitionedTable`]): each φ-stratum
+    /// of a stratified family (a contiguous run of the φ-sorted table,
+    /// sorted by shuffle position within), or the uniform family's
+    /// shuffled build region (one shuffle whose prefixes are the
+    /// resolutions). A block of a shuffled run is a uniform random subset
+    /// of it, so every partition holds a proportional share of every run
+    /// and remains a valid mini-sample under the family's per-row rates,
+    /// and a partition scan reads whole blocks.
+    ///
+    /// Rows [`crate::sampling::fold_uniform`] appended after the build
+    /// are in arrival order, so they are dealt round-robin instead; they
+    /// are the longest strictly ascending suffix of the family's source
+    /// rows (a few build rows that happen to ascend at its end join
+    /// them, which costs nothing but a copy). Without them every
+    /// partition of a uniform resolution borrows its block of the
+    /// resolution's rows.
+    pub fn partitioned(&self, idx: usize, k: usize) -> PartitionedTable<'_> {
         let res = &self.resolutions[idx];
         if self.uniform {
-            return PartitionedTable::round_robin(&res.rows, k);
+            let arrivals = arrival_order_start(&self.source_rows) as u32;
+            let shuffled = res.rows.partition_point(|&r| r < arrivals);
+            return PartitionedTable::uniform(&res.rows, shuffled, k);
         }
         // Stratum run ids were precomputed at build time; project them
         // onto the resolution's rows.
@@ -327,6 +340,19 @@ impl SampleFamily {
         }
         true
     }
+}
+
+/// Start of the longest strictly ascending suffix of `source_rows`: the
+/// first row of the uniform family's arrival-order tail. A fold appends
+/// fact rows in arrival order, and fact rows only grow, so the tail
+/// ascends; the shuffled build region ends in a descent but for the
+/// few rows that ascend by chance.
+fn arrival_order_start(source_rows: &[u32]) -> usize {
+    let mut start = source_rows.len().saturating_sub(1);
+    while start > 0 && source_rows[start - 1] < source_rows[start] {
+        start -= 1;
+    }
+    start
 }
 
 #[cfg(test)]

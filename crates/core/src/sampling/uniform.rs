@@ -197,4 +197,26 @@ mod tests {
         assert!(fam.columns().is_empty());
         assert!(fam.is_uniform());
     }
+
+    #[test]
+    fn tail_free_resolution_partitions_borrow_its_rows() {
+        // A smaller resolution is a prefix of the build shuffle, clear of
+        // the few rows at its end that ascend by chance: every partition
+        // is a contiguous block of the resolution's own row list.
+        let t = table(10_000);
+        let fam = build_uniform(&t, cfg(0.2, 3)).unwrap();
+        let res = &fam.resolution(0).rows;
+        let parts = fam.partitioned(0, 7);
+        assert_eq!(parts.num_partitions(), 7);
+        let mut next = res.as_ptr_range().start;
+        for p in parts.partitions() {
+            let rows = p.rows().as_ptr_range();
+            assert_eq!(
+                rows.start, next,
+                "partitions are consecutive blocks of res.rows"
+            );
+            next = rows.end;
+        }
+        assert_eq!(next, res.as_ptr_range().end);
+    }
 }

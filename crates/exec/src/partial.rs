@@ -608,7 +608,7 @@ mod tests {
 
         let rows: Vec<u32> = (0..t.num_rows() as u32).collect();
         for k in [1usize, 2, 3, 7] {
-            let pt = PartitionedTable::round_robin(&rows, k);
+            let pt = PartitionedTable::uniform(&rows, rows.len(), k);
             let mut acc = PartialAggregates::default();
             for p in pt.partitions() {
                 acc.merge(plan.scan(p.rows().iter().map(|&r| r as usize), RateSpec::Uniform(0.5)));

@@ -10,8 +10,9 @@
 //!   accounting matches paper scale while estimators run on real data).
 //! * [`partition`] — stratum-aligned row partitions of a sample
 //!   ([`partition::PartitionedTable`]): each of the K partitions holds a
-//!   proportional share of every stratum, so a query can fan out one
-//!   partial-aggregate task per partition and merge (§4.2, §5).
+//!   proportional share of every stratum, one contiguous block of its
+//!   shuffle order, so a query can fan out one partial-aggregate task
+//!   per partition and merge (§4.2, §5).
 //! * [`segment`] — the arrival-time segment cover of the fact table
 //!   ([`segment::SegmentLog`]): ingest seals small immutable segments,
 //!   generational compaction merges them as pure metadata, and the

@@ -349,165 +349,169 @@ fn answers_match_the_recorded_fingerprints() {
     }
 }
 
-/// One row per query of [`queries`], one hash per width of [`WIDTHS`];
-/// recorded at commit `c394ae8`.
+/// One row per query of [`queries`], one hash per width of [`WIDTHS`].
+/// The K = 1 column was recorded at commit `c394ae8`; the K = 7 and
+/// K = 100 columns were re-recorded on top of `98d59d8`, when partitions
+/// became contiguous blocks of the shuffle order: estimates and variances
+/// moved in their low bits (a new summation order) and per-partition
+/// trace counts moved; group keys, row counts and `elapsed_s` did not.
 #[rustfmt::skip]
 const EXPECTED: &[[u64; 3]] = &[
-    [0x14125f6e8e2502f5, 0x2b782b817433171b, 0xcf2284faef869389],
-    [0xe13f487b12ef8c40, 0x2902e9a7b96e198d, 0xd843628003acc8fb],
-    [0x4d3361a79e0d0d58, 0x96b27d6a11689f34, 0x0faedcd56a702abd],
-    [0x8d5be152eea340fb, 0xecca1bc83d6542c8, 0xfe716920e910f519],
-    [0xe1293598b59e1747, 0xd9e702cd99878c11, 0x1aa0bdacd8aea6eb],
-    [0x1094e40d6e4ef598, 0xe74c61d698955d99, 0x447d03f2dad2d902],
-    [0x9b66ba3f75f38ccc, 0xd49df8e0f460b4b0, 0x6ff8bf194eccb606],
-    [0x1b0e9c534c374c8f, 0xb715335b0041de41, 0xe6a5551735e53294],
-    [0x06b3b2c222045661, 0x13141edb0ddef4b9, 0x39e6a4401a75f2f1],
-    [0xc0e95e325f6a4eec, 0x8c13d2f541375306, 0x2021223f7be4e969],
+    [0x14125f6e8e2502f5, 0x2b782b817433171b, 0x7cd187dc4659f67a],
+    [0xe13f487b12ef8c40, 0xc3c1c3e75391a0c9, 0x080641902e7e5a25],
+    [0x4d3361a79e0d0d58, 0xc30019223e4b59da, 0x688b2954860c314d],
+    [0x8d5be152eea340fb, 0xa9fbf3f39c6b4eba, 0xdb2e4e64241e1c77],
+    [0xe1293598b59e1747, 0x8a6588352e62c87a, 0xb95b7a88edbc5802],
+    [0x1094e40d6e4ef598, 0xe74c61d698955d99, 0xbd8a415e59b594c7],
+    [0x9b66ba3f75f38ccc, 0xd49df8e0f460b4b0, 0x1419c8ae68d98db0],
+    [0x1b0e9c534c374c8f, 0xd11ee09372e1bc71, 0x9d33515b2068ba1a],
+    [0x06b3b2c222045661, 0xd4010723bdd5bd6d, 0x6668c003b3bc10ab],
+    [0xc0e95e325f6a4eec, 0x5c0cc220ebce91ae, 0x18f12fb8599dbedc],
     [0x96d79b8cf19fcbd8, 0x05c307a9f076b6c0, 0xf98d1e8388c948c3],
     [0xd81e9951617572bc, 0xcd2cdcf6fce53638, 0xc20ddb9e188c6f47],
-    [0x44eef68e2257fbf4, 0xc5bf8d38f353368a, 0xdef9952cc997e1e6],
-    [0xdb77ba50e6d986ac, 0xde6c504aa9bff1b1, 0x97ec9c4d58192269],
-    [0x96aee076a0a6434e, 0xf772c616b6047920, 0x6ad7ac379ca16f85],
+    [0x44eef68e2257fbf4, 0x4c1e80c01e930547, 0x8cf756f8166f1c87],
+    [0xdb77ba50e6d986ac, 0x4dc06102b871e94e, 0x0ac29abda2926698],
+    [0x96aee076a0a6434e, 0x74f93ceec6ce890c, 0x136fcdc946f8c7c8],
     [0x813a02fb6fa1bda0, 0xed6b82b85ba59483, 0x3a920685f9f10d3f],
-    [0x94e470506f2db28f, 0xbc4d944c80cb72f5, 0x828a61416b4c52f1],
-    [0x65c1712368374959, 0x6a580ad4461ea802, 0xe659943ebd04950b],
-    [0xb3207bf161cfad02, 0xcf5185b41a643d6f, 0xe5cc1300f3c360a2],
-    [0xdc06f329a11a572d, 0x0fdb5e97f79568cb, 0xb27bf7a96a1fd004],
+    [0x94e470506f2db28f, 0xe615fb2c0577cac3, 0x338f23afd671b436],
+    [0x65c1712368374959, 0x637f87481d96e661, 0xf0a2f4d035283ed8],
+    [0xb3207bf161cfad02, 0x26a531bf5be59ba2, 0xd265496da0386948],
+    [0xdc06f329a11a572d, 0xfe46082096b67037, 0x5317a1a0cdc522b1],
     [0xfc27f1aefb319baf, 0xce24eed8899079b9, 0x5ea130ca291c84e6],
-    [0x183b899fdf95e342, 0x255b55cf246eb083, 0x2230ca2a3f3dfab5],
-    [0x552484f48fd3b941, 0xc6235750060ad71e, 0xaa7323221c051063],
-    [0x377ad8e87885631a, 0xd214df55d7029e66, 0x3d2646c75e90a5a5],
+    [0x183b899fdf95e342, 0x255b55cf246eb083, 0x67488323f892063d],
+    [0x552484f48fd3b941, 0x8be288abb92787ec, 0xde1c1e2ac7de31f1],
+    [0x377ad8e87885631a, 0x4336ed2364a39d63, 0xdc0f61e591b7c617],
     [0x96f685fa14aac4cb, 0x6dc7d83d509ea336, 0x8085b16960423383],
-    [0x053e44c529c21b67, 0xb0f41576525a9d91, 0x40308f936d19ce5c],
-    [0x6cb66c3f493dfb2c, 0x4561d0eb81b0dd0d, 0x841d2519e05b5855],
+    [0x053e44c529c21b67, 0x3c7be1ce3642e8d1, 0x832600736c30a5a1],
+    [0x6cb66c3f493dfb2c, 0x4561d0eb81b0dd0d, 0xdd00117f8c893e00],
     [0xa96dbaa27c01117e, 0x1aa2d1ea74bb458e, 0x06c0f4fd562a225e],
-    [0x93ed1a5dfd0fc0e2, 0xdacb511d4f6853ed, 0xb26e65f6f1d54f2d],
-    [0xc05847e7c347ec6e, 0x8d02d4924e6430a2, 0x64c39dd2122205d0],
-    [0xf1a3a5499839ed14, 0xd220703f1f797212, 0x3d5759faa00ca5d9],
-    [0xd1749f72b7aced35, 0xb9c1b5b588a6d5f3, 0x6c84b7df8d35ced5],
-    [0x99247f79695cfe1a, 0xcd9edd11d3664614, 0x454b5f7288314f1b],
-    [0xf388b09b0e338c38, 0x6a98c6b0ff8b88ee, 0x62d9ff80c84c41a9],
-    [0xcfd315d8dbe01afd, 0xf42a616a8db8e774, 0x6c367f4ee16e4051],
-    [0x09e3d282acf80813, 0x7dbdef0afa03fb50, 0xb3ec26ce00b92d41],
-    [0x7fcc8d0b86036d2d, 0x997f0702eb67429c, 0x088ef4713d3122f5],
-    [0x55b80c4bcffc116b, 0x81b70b1479018621, 0xf9b1885416fb44de],
-    [0xc5194b5f0d910f04, 0x823cfcb389724d3d, 0xfba9a3ad459f1428],
-    [0x708cb24162a7efb9, 0xa397fbbc0a3dfeb1, 0x529a5b1867df78f1],
-    [0xadbbcd24ac69e3be, 0x201c8b82226afe96, 0xef86044ca12371cf],
-    [0x4ee950d5873a3709, 0x6b154365ed4be955, 0x07ad2962203b9247],
-    [0x0f45d36afab93605, 0xa8f2f285fe366ac3, 0x00e1f2777bd17822],
+    [0x93ed1a5dfd0fc0e2, 0xebf24e99f31b184c, 0xeb78d17f1929d948],
+    [0xc05847e7c347ec6e, 0xcc74fd0e8564f246, 0x71b8b0427005e7b4],
+    [0xf1a3a5499839ed14, 0xdde9cc5440608c32, 0x50f686aff0f3ff62],
+    [0xd1749f72b7aced35, 0x93880d9bd6eb6ef2, 0x02d7193c2a7e5c47],
+    [0x99247f79695cfe1a, 0x9b3d92099cb691af, 0xd978e44450819ea9],
+    [0xf388b09b0e338c38, 0x9d573b99d71c5b38, 0x602c940b5493259e],
+    [0xcfd315d8dbe01afd, 0x665965f8768cf3b1, 0xa345ab6c9c2b93fe],
+    [0x09e3d282acf80813, 0x7dbdef0afa03fb50, 0x3c4f3f277dd74103],
+    [0x7fcc8d0b86036d2d, 0x977c535fd8ec8b8e, 0x0f955b7c6e998588],
+    [0x55b80c4bcffc116b, 0xc8b8f3eb3f7f2f77, 0x7108e08d72095687],
+    [0xc5194b5f0d910f04, 0x9d175723922605cd, 0xdd2381dc047cc537],
+    [0x708cb24162a7efb9, 0xe6877ef269063dcb, 0x111faf22e81a99dc],
+    [0xadbbcd24ac69e3be, 0x1ccba092bbb7070a, 0x95b98ea4cb352d8b],
+    [0x4ee950d5873a3709, 0xced6ce0ea202bb85, 0x58e9623a1d526b96],
+    [0x0f45d36afab93605, 0x1047c0486011d1af, 0x96b895c829f5d36b],
     [0xb7fc2a7d0b47f428, 0x7c1e9701601d03ea, 0xe1f3da0d37ea959e],
-    [0x7dc602d4f0fc7189, 0x2a1276e2fe25f425, 0xf94556dcd7dc63f0],
+    [0x7dc602d4f0fc7189, 0xffb4610691372e98, 0xe0760b98c04e6337],
     [0x5a2f07dc4f8aae81, 0xf8a9b37124b1f7fb, 0xa7a2e2d54485007b],
     [0x12e777b892ab0a56, 0x614991cd032dd1ee, 0x11ce04d59cd86194],
-    [0x4c3dcf511452e77d, 0xd52b58145e3b53d9, 0x1835b8ef4a47d5bd],
-    [0xaa5c4edbfdfdbb4d, 0xcf581b882cdc20fd, 0xb9bb063f2dd63dd3],
-    [0x87c159e033d68fdb, 0x4a7fff331f8b051c, 0x6aae75dbc0e93f9c],
+    [0x4c3dcf511452e77d, 0xbfed1092c186d3cc, 0x592ffeb9beead4b4],
+    [0xaa5c4edbfdfdbb4d, 0xd6ad3e0b201a8922, 0xa6ccb5ef7b1290c0],
+    [0x87c159e033d68fdb, 0xed190d643d4ee1b3, 0xa2a0906880ed1515],
     [0xa267c19a14f2a4ca, 0x8148830ca72cdb2c, 0xafda18332becadfa],
-    [0x351812898c895cc7, 0x8a60f823b75193db, 0xec13a1253c5b5338],
-    [0x87bd689824ba4db5, 0x02453560f0bfce60, 0x22c9695eb4af47ae],
-    [0x07975727b11cc26d, 0xac251e30dd925d71, 0xd14322dd0d46ee38],
-    [0x84c8442e25190304, 0x48120249069363e9, 0xb6f4d7001bffa7b0],
-    [0x2cc7fc51e84ddd2b, 0x1f9d69817df5c76a, 0x9770739c70380570],
-    [0xa77c629d962f38d2, 0x2ae5c562813c9383, 0x90b41befb59f659a],
-    [0x0c5a1ac00e625c98, 0xc25d22671bfdd639, 0x71dd03814d64120f],
-    [0x24f573e7740185cb, 0xedead107bc133772, 0x699e07753982cd7e],
-    [0x7ecbf076625e7446, 0xf9ce0787246409dc, 0xa0171b653a02ec36],
+    [0x351812898c895cc7, 0x8a60f823b75193db, 0x493ab9e249ad613b],
+    [0x87bd689824ba4db5, 0xb833f10673ed826b, 0x5d128ef456177e3e],
+    [0x07975727b11cc26d, 0x677612c2880b31dd, 0x18211c6b334a1a49],
+    [0x84c8442e25190304, 0x60083c33bc0d8638, 0x04682858670f2df7],
+    [0x2cc7fc51e84ddd2b, 0xcbe1583cd7eb12fe, 0x4720141081baa058],
+    [0xa77c629d962f38d2, 0xb8d7f51126047eee, 0xe7618e0b742d4c7d],
+    [0x0c5a1ac00e625c98, 0x3d5f7dbe8f4e74f4, 0xd482695f92685e66],
+    [0x24f573e7740185cb, 0x9ba0344b1b0e647d, 0xaf3b4ce123ec4df4],
+    [0x7ecbf076625e7446, 0xe4851c0b2b990153, 0xda090042714cab3e],
     [0x70fd66641b14dbb9, 0x098f7d6ac39722cf, 0xa0ddd4b619253b41],
-    [0x4983e620169bf0aa, 0x22bd569133db95f7, 0x56ba7f6e33f97e59],
-    [0x42e9808a315869b6, 0x3f6fcafdeb504839, 0xe688eb6b96b895af],
-    [0x00664a5320ddc5df, 0xe8d60fe1c6da37d4, 0x02f2ced1148c3095],
-    [0x3e095dc31b58454f, 0x8984b8ff8bac21f2, 0x80fe130be283b1ab],
+    [0x4983e620169bf0aa, 0x22bd569133db95f7, 0x0641145a44598b71],
+    [0x42e9808a315869b6, 0xb140cf7ab359457d, 0xf1167ca8d05f388b],
+    [0x00664a5320ddc5df, 0xebc65213d315ea54, 0x40993f3ae6c539cb],
+    [0x3e095dc31b58454f, 0x1bad758d0c275a70, 0xf96c3520211d6f30],
     [0x655665d1f11f8352, 0x17b6c2ba23ab410a, 0xbf574fae18c57f48],
-    [0x2886ded5d1bc8092, 0x90ae8f5b843e3aa7, 0xadd49dc525f06f7b],
-    [0xe8c69690d3e97634, 0xde08c57433a46d86, 0x4e974e2d2ac7f457],
-    [0x100eb12831ceddb1, 0x92225662272a6a54, 0xf3b5ee8183c15a37],
+    [0x2886ded5d1bc8092, 0x849f112025dd7e32, 0x309f76cbb69a8666],
+    [0xe8c69690d3e97634, 0xa9a57a06d1cb2058, 0x2a26112c82882242],
+    [0x100eb12831ceddb1, 0xa2fd7d498e49087b, 0x5544f2fc1cf01e55],
     [0x2dbc7e2c2c9addb8, 0xb9052d4c13ba0bb3, 0xcbd0884cef5c33cc],
-    [0x8ec5e318cd2dcc10, 0x66453cc0b0dcaa44, 0xabea0508d83258cc],
-    [0x114ae997f1799c58, 0xc41c18c0472a1614, 0xfda11e9de4e1f9d0],
-    [0x7bc1246b6e1f7169, 0x927c47c556903467, 0x496b162adb3be8a4],
-    [0x7d401ae17d1f21f0, 0x20ba06cafd5ed7bd, 0x15ccb377b9801300],
-    [0x8bf5ba5a7a29cee3, 0x121ede3489e70f45, 0x4d1a064d1dd8c89c],
-    [0xc369c6353ec899d0, 0x893a88acd91230d2, 0xe4ea01682da0d1f2],
-    [0x7fe70b3c9b908b6b, 0xa75ff3e539c69c8d, 0xd9eae53736900c09],
+    [0x8ec5e318cd2dcc10, 0x66453cc0b0dcaa44, 0x0924442c29166ea9],
+    [0x114ae997f1799c58, 0xc41c18c0472a1614, 0x5e204d15534ac6f6],
+    [0x7bc1246b6e1f7169, 0x576b08ec0796db0a, 0x7f0039d84a1698b8],
+    [0x7d401ae17d1f21f0, 0xc1f063b79e7bba93, 0xf2c701de0a037198],
+    [0x8bf5ba5a7a29cee3, 0x337219765c44c75d, 0xa92546f3b860accd],
+    [0xc369c6353ec899d0, 0x893a88acd91230d2, 0xf45b3ca1a0656d1d],
+    [0x7fe70b3c9b908b6b, 0xa75ff3e539c69c8d, 0x8dc30993cb1e1e93],
     [0xacb43884e82edb3e, 0x69943e13f02b2ade, 0xf2dbc1c98b71a0ff],
-    [0x720a8850cc07cff6, 0x49ecbe38d11394ae, 0xcb22405366d901f8],
+    [0x720a8850cc07cff6, 0x327f262d8a883c88, 0x90b9c2fd4493be14],
     [0xc5156290235b2292, 0xb7eda7dcd9fe782d, 0x7d60fac8680a2cc6],
-    [0x6849a03eb21e2e4e, 0x236230c97eff9694, 0x20fde08a54369404],
-    [0xd82549282b89e242, 0xdb63e2968e21f237, 0x579750d74d9129ef],
-    [0x676fecd797364c8d, 0x6d378d56820adba8, 0x7e42b4ca972ef6a4],
+    [0x6849a03eb21e2e4e, 0x830257b0588babbc, 0xf15ba667e95947ba],
+    [0xd82549282b89e242, 0xf234ae673df27d89, 0x2b2ff28eb2768bfc],
+    [0x676fecd797364c8d, 0xe959fc819491adb2, 0x2f9d75358170e233],
     [0xc1e259ad81877e93, 0x25cf637a32a8732a, 0x0e38b68eb1e6cf65],
-    [0x9023a08c370adafe, 0x0901fa9c39a897f6, 0x4549dfde54d1ba33],
-    [0x0de938a68189dd21, 0x669d411d37f1fb86, 0xbe46e381796593a1],
-    [0x98b105e7ca544a61, 0x270694f9694fd853, 0xdd683d67dfaea3fb],
-    [0x01e1ab09f3f16a34, 0x9a5f064ff541b352, 0xe975130564d6b1d6],
-    [0xa97dcab5fddc1140, 0x4a68e448b008151b, 0xaaab6b5ff9cbbd7d],
-    [0x9f7fd9270ed7bd35, 0x43c68101fe977f0b, 0xe90349e6ce5b11f9],
-    [0xaa6a55447f3120a0, 0x648646b8371bef2a, 0x05a6027ad735aed0],
-    [0x6caa89ebeaa19399, 0xf0f4c7573df47b0e, 0x0742d28546d4afc2],
-    [0x3d0525b98d8067aa, 0x972864a592f05ede, 0xe847061c1215f6f5],
-    [0xb25312c5890ec573, 0xac398076435bfbe3, 0x249d9e1f51c779a0],
-    [0x6448e2602ebcec00, 0xb5ea88b68c6afed3, 0xb7e075acf98fb35b],
-    [0xf81bc08d480c82d3, 0x89ad2e696e728aaa, 0xa91e0cfdec8d9c00],
-    [0x42036a48fc7a4097, 0x221e87cfeee40db5, 0xf33ff7bdca0d9083],
-    [0x0b7e4dc00659591b, 0xcc34ad01e0171802, 0xcd188188b3ef8c8c],
+    [0x9023a08c370adafe, 0x076886dbbdbb7636, 0x1c1073a0011434b7],
+    [0x0de938a68189dd21, 0xafa353392777e186, 0x3e1877341878cc15],
+    [0x98b105e7ca544a61, 0x44d0d70e745006f1, 0x12151ee5ea2ad9de],
+    [0x01e1ab09f3f16a34, 0xc2d8d0c3971d6c84, 0xc3da910a222f1b3b],
+    [0xa97dcab5fddc1140, 0x8355cf4b789e6b31, 0x44983fab609b0360],
+    [0x9f7fd9270ed7bd35, 0x51679d1d3826cbcd, 0x2632f6300613d271],
+    [0xaa6a55447f3120a0, 0xb90b8d0edbe48faf, 0xf31379b0c0441337],
+    [0x6caa89ebeaa19399, 0x393c07c8ba176c53, 0x2863b842e3f22626],
+    [0x3d0525b98d8067aa, 0xdbed848b3b76b83f, 0xdef661f39b99e1e8],
+    [0xb25312c5890ec573, 0x620928f010283d06, 0xfcaa31cb5a8e3638],
+    [0x6448e2602ebcec00, 0x6987285d4158eea2, 0xd1d74039e53d3bd4],
+    [0xf81bc08d480c82d3, 0xcc34ecd80180baed, 0x3f36ea7a4e2f526f],
+    [0x42036a48fc7a4097, 0x78d09ad37ef5487b, 0xf7bb9bc7bb8b4fed],
+    [0x0b7e4dc00659591b, 0x842c332ec040ebde, 0xbf1b85ae54ea3513],
     [0x412626f12dd064f9, 0x165cc194c709ce9b, 0x284cf5ff7df5a5d8],
-    [0xaf55e5b25ba63d81, 0xeb1d8836b3509115, 0xc0740a85d5032d1d],
-    [0xf9035b9e00da847c, 0x9a9931ac97bd3e99, 0xf568dd2c38154b89],
-    [0x776f389b5e43792d, 0x80e921ff8b8d1992, 0x2102a2de3872f484],
-    [0x40fdbe7759e69145, 0xea1f60f4eea8f734, 0x039bccc963d83822],
-    [0xd44469755e5477ad, 0xbd2860ca0fa48214, 0x52a28d59a6786ad2],
+    [0xaf55e5b25ba63d81, 0x354cecec2241a9de, 0xe9a1aa9682dfaecd],
+    [0xf9035b9e00da847c, 0xf72e92910d7b49db, 0x2f7373792774ebed],
+    [0x776f389b5e43792d, 0x80e921ff8b8d1992, 0x768c07875973c364],
+    [0x40fdbe7759e69145, 0x56981de024fbcaa0, 0xf8f7ac44a8efdda2],
+    [0xd44469755e5477ad, 0x8cb07ab6b78ebbda, 0x4643e50afd4e020d],
     [0x2bbcb01a39cb3df4, 0xcbea6da7be83b005, 0x645417a7ebff52d7],
-    [0x0110b10e49d6f525, 0xfa13453ef65c9363, 0xced5e1ef402e564c],
-    [0x51f21c5a580fa8b0, 0xfc187f5d58de90d2, 0x66bf2b79f8a38d7b],
+    [0x0110b10e49d6f525, 0x5b175404d81d8a56, 0x439637e00656eab2],
+    [0x51f21c5a580fa8b0, 0xd68cab01504f8f67, 0x8a5cbfae69336080],
     [0x57ed01f2a3827a83, 0x5dd8dec75d152d35, 0x079271da71c81d79],
-    [0xaa30efa6ab83b35b, 0xeeda7c4fc5125515, 0x28690efb1384daad],
-    [0x15f96f5934fe51aa, 0xb17b990a29c74f47, 0x5e56030d2aad7dd6],
-    [0xb12f4e4f5015932f, 0x8372db1efd9ef1f6, 0xd07b5d9d4bac7ce9],
-    [0xa3ce7be696b03d46, 0x1767436d5fdbe153, 0x6c97e5883de420a3],
-    [0x9d2da22087b087fb, 0xa06199fd7c992e26, 0x2410b6794365f91a],
-    [0x5324e11256e7afd5, 0xe39f3737033f5ea1, 0x3f9b30ff532eaef0],
-    [0x13a7e9d59d3e8b1d, 0xd28736eafddab4b0, 0xf45f6bef263bb460],
-    [0xb7740eca11c7edb1, 0x7c79e9f7b8ea86f6, 0xdeef57299a446599],
-    [0x982a22f2d15746ae, 0x2bd7732defb184a2, 0x6af8ac1e29326727],
-    [0x18ccac26a24ac27f, 0x39a3d8c46d7ac984, 0x4d0e46b42943ccfc],
-    [0x538b863a44c670a6, 0xfcf430ef7ad592ac, 0x3117975e172dc106],
-    [0xd0d11ee4fed68443, 0xff311256c44b368d, 0xba9f16b27d0dd946],
-    [0x9487afab6a487235, 0xd532726e276f1eb2, 0x92210d12957f995c],
-    [0x6194311f3318b7ec, 0x67f634f14b9fe732, 0x6e4e78d851c45fa2],
-    [0x9827d1f439115131, 0xb22b73687c8ca60c, 0xf9c4431c6146eb2e],
-    [0x713504e0da7629b5, 0xff81c3ee1571d374, 0x74c580717cfed2f1],
-    [0x03d844693550b076, 0x40d37114e3d73106, 0x546f8316c1e33572],
-    [0xed4a0ced69552d1e, 0xd57453f2ec820b31, 0xc468ed91831d2269],
-    [0x6bd25558c1d4b8cf, 0x640226cc1dbbf544, 0xaf4ef3b84ebe6986],
-    [0xfac0faf083b98fe3, 0xc2b100cdb563b6a9, 0x53a3eba58c8bae69],
-    [0x80d9785d18ab2416, 0xc01481bddfde0660, 0x327e2f936667b51c],
-    [0xcec90df899318871, 0xc33173a4246410b7, 0x3c835ba95c38ee75],
-    [0x10ac9d06bc511f89, 0x9cba2e126b813b38, 0x022c90abf231536a],
-    [0x2338876034df0839, 0xf3a713197e3459eb, 0xddb34977e063e975],
-    [0x7bca982e9644dc49, 0x08c7d4497e61a3f4, 0x593c6066171678d4],
-    [0xe9cd8389b3ad49e3, 0xfd4901e527605f07, 0x0422f239e449486d],
-    [0x6f0c00f2a319c8fe, 0xfa46522627b30c4f, 0x15518d5f8c598f33],
-    [0xe0bea0b27b1b477c, 0xa3d5c1adfbd9d224, 0xcfa8c2591ce2e6c0],
+    [0xaa30efa6ab83b35b, 0x33e4fcceeb103abf, 0xe92d0189bba605c1],
+    [0x15f96f5934fe51aa, 0x921678d0a6e4c397, 0xaf70bb0e134e9288],
+    [0xb12f4e4f5015932f, 0x8372db1efd9ef1f6, 0x0b6ed9fa6424705d],
+    [0xa3ce7be696b03d46, 0x9848b10af99a852e, 0x258fbe63bed18ded],
+    [0x9d2da22087b087fb, 0x97d0cac99f5d0c41, 0xda9d596fa8fc92d8],
+    [0x5324e11256e7afd5, 0xe39f3737033f5ea1, 0xf7e7791686cb1072],
+    [0x13a7e9d59d3e8b1d, 0x641e543b967a5a5d, 0xdb56656e8bde4f8f],
+    [0xb7740eca11c7edb1, 0x13b7e3ee140fa128, 0x4dc315696199cba0],
+    [0x982a22f2d15746ae, 0x2bd7732defb184a2, 0xc394dc120a35137a],
+    [0x18ccac26a24ac27f, 0xc0c23cd288c33191, 0x609e485c3be7d9e2],
+    [0x538b863a44c670a6, 0x0cacafea7ffc0f84, 0x8ce4248bccb686a4],
+    [0xd0d11ee4fed68443, 0xff311256c44b368d, 0xe505a34cff0ed659],
+    [0x9487afab6a487235, 0x004e299f47b3fdb6, 0xb1db76a874ba6e3f],
+    [0x6194311f3318b7ec, 0xc0c7a239276a531e, 0x11e4f677e9347ed0],
+    [0x9827d1f439115131, 0xb22b73687c8ca60c, 0x9e7d7f81da572ff7],
+    [0x713504e0da7629b5, 0xab403a6814771e8f, 0x9074d767682d2322],
+    [0x03d844693550b076, 0x5feadd74934c5b12, 0x22bec86f9abdd4ad],
+    [0xed4a0ced69552d1e, 0xe8614c2e0516c207, 0x08105db2501c1a0e],
+    [0x6bd25558c1d4b8cf, 0x6c88a2ee214e3633, 0x43a8cd1ac4f5c72f],
+    [0xfac0faf083b98fe3, 0xf5ebe1a8c32a05c5, 0x2de72aaaf8e8c110],
+    [0x80d9785d18ab2416, 0x59baf9635fe2d4d1, 0x8cdcca0ee37d5092],
+    [0xcec90df899318871, 0x24e1a4fe8b1d855a, 0x36e3e5707aac3025],
+    [0x10ac9d06bc511f89, 0x353c9eb752824905, 0x9999e70414e37b6a],
+    [0x2338876034df0839, 0xe3b2930879a315c0, 0x8b4cdbcf46855efb],
+    [0x7bca982e9644dc49, 0xfca13faf060481aa, 0x7b2f1ecbfa61d741],
+    [0xe9cd8389b3ad49e3, 0x9859f2e7916c890e, 0xa489f813af3226b0],
+    [0x6f0c00f2a319c8fe, 0x9595fcbca235292f, 0x37be5a8ceb3989ca],
+    [0xe0bea0b27b1b477c, 0xb8d66669d6c5a2e4, 0x01fb100c3854942b],
     [0xa0278b1d0b8ab6b5, 0x5167e20596bbbe2c, 0x730a0c713d14d25b],
     [0x93e451744beb7acc, 0x0be6d85db1e50d1b, 0x4abde9d23ff514c3],
     [0x90509fc6c3f61fed, 0x3c8aa67ff94fbf08, 0x418adbf6c30fd59b],
-    [0x9608324224d770c1, 0xa560194b8d8b4b40, 0xe114d72f0ef78563],
-    [0x75296b88d9c86322, 0x0ce610281191f497, 0xabb81fac5c98ba64],
-    [0xcf7b2a8a407c1671, 0xa5509a61f712df41, 0xcd38c87293d65095],
-    [0xb6640eb5e7b4a3c5, 0x11d9ba08a3afdf49, 0xaff1f8b1e70af568],
-    [0xa6cf8a6596b812ec, 0xcb897b581efce968, 0x664d876eda17ba8c],
-    [0x509118b47b123b06, 0x84d94a4015dab70d, 0x9054392ac2f553b6],
-    [0x767f4e33b8c85e9c, 0xc06dbc2103f2e3c9, 0x875980f78d18746b],
-    [0x7e42e99128fd7cdf, 0xcbe74d91fa62cbb7, 0x0ac68379d674f16b],
-    [0xd3add4700fe0eaf3, 0xcb1f4331fb3e70c7, 0x514e97c98ca7234a],
+    [0x9608324224d770c1, 0x6bd64e9666d500d9, 0x23c867ddaf31e3de],
+    [0x75296b88d9c86322, 0x0ce610281191f497, 0x452307e21d87b62b],
+    [0xcf7b2a8a407c1671, 0xd535168692f8104f, 0x536eff2dabe7cf6b],
+    [0xb6640eb5e7b4a3c5, 0x11d9ba08a3afdf49, 0xa1ca782ea04c17d0],
+    [0xa6cf8a6596b812ec, 0xf0dc05171401df92, 0xb1e11902ff4ce27e],
+    [0x509118b47b123b06, 0x84d94a4015dab70d, 0x9d72026e65d714af],
+    [0x767f4e33b8c85e9c, 0xa34941ff8f842b09, 0x7ba1cfa1d2218447],
+    [0x7e42e99128fd7cdf, 0xcbe74d91fa62cbb7, 0xd1ac992c75ec6caf],
+    [0xd3add4700fe0eaf3, 0x7580a4965218eaf5, 0xa59e6e1507b18e3a],
     [0x5be7ad707051df49, 0x1cbb2b47fb8915c4, 0xd05cee8aaf11b17b],
-    [0x6645de1fee819405, 0xc84bf77a755eede0, 0x749b5d8fc8037925],
-    [0x6f962ae5368dc2de, 0x47508ea6183a95c1, 0xa1da71f2d8780537],
-    [0x6564be844e7262c5, 0x1399bbe365da1052, 0x8eb6862fd429c218],
-    [0xed9734c0b8a00023, 0x5c63dbb4fb12f15e, 0xc6efdada1aea9ea1],
-    [0x264c208e8bab86f1, 0x1bea34a5881c63ba, 0xc1cfff79077ea2bc],
-    [0x00cdcf66926d5f2b, 0x7e7be8b9abd7a421, 0x38ebc78fd25bab66],
+    [0x6645de1fee819405, 0xf5516f69d0e2cfe4, 0xb49c1f995bf8c3f4],
+    [0x6f962ae5368dc2de, 0x037884b51788227b, 0x96845a339b9a3bd4],
+    [0x6564be844e7262c5, 0xd0d0dbd0e41394b1, 0xe02959915ebdacb9],
+    [0xed9734c0b8a00023, 0x41eee0fb5a3c9611, 0xa75157b178d12a9d],
+    [0x264c208e8bab86f1, 0x5187c3456f468a3c, 0x26cc7b1eef882b40],
+    [0x00cdcf66926d5f2b, 0x9b77024671c37e42, 0x69dbd408a7794fab],
     [0x8bf7f06b18b39c73, 0x09c1437ff493680f, 0x02e8cd5af563a3a0],
     [0xee935c6d47b41d80, 0x0c540cf8b10a98e2, 0xe0e48097467af423],
     [0x2759265eeddfcaf7, 0xe2c0e8f036b0d06e, 0xfa1bbb4d88491bf5],
