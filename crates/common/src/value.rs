@@ -125,14 +125,6 @@ impl Value {
         }
     }
 
-    /// Integer view of the value (floats are not implicitly narrowed).
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// String view of the value.
     pub fn as_str(&self) -> Option<&str> {
         match self {

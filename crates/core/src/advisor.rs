@@ -26,32 +26,17 @@ use blinkdb_sql::template::ColumnSet;
 use blinkdb_telemetry::{WorkloadSnapshot, QCS_NONE};
 use std::fmt::Write as _;
 
-/// Thresholds for the advisor's recommendations.
-#[derive(Debug, Clone, Copy)]
-pub struct AdvisorConfig {
-    /// Minimum share of total observed mass an unserved QCS needs
-    /// before a `Build` recommendation is emitted for it.
-    pub unserved_mass_floor: f64,
-    /// Utility below which a stratified family draws a `Drop`
-    /// recommendation (it stores bytes nothing in the workload uses).
-    pub drop_utility_floor: f64,
-    /// `epochs_stale` at which a covering family draws a `Restratify`
-    /// recommendation; also the knee of the freshness decay.
-    pub stale_epochs: f64,
-    /// Cap on emitted recommendations (ranked; the tail is cut).
-    pub max_recommendations: usize,
-}
-
-impl Default for AdvisorConfig {
-    fn default() -> Self {
-        AdvisorConfig {
-            unserved_mass_floor: 0.05,
-            drop_utility_floor: 0.01,
-            stale_epochs: 64.0,
-            max_recommendations: 8,
-        }
-    }
-}
+/// Minimum share of total observed mass an unserved QCS needs before a
+/// `Build` recommendation is emitted for it.
+const UNSERVED_MASS_FLOOR: f64 = 0.05;
+/// Utility below which a stratified family draws a `Drop`
+/// recommendation (it stores bytes nothing in the workload uses).
+const DROP_UTILITY_FLOOR: f64 = 0.01;
+/// `epochs_stale` at which a covering family draws a `Restratify`
+/// recommendation; also the knee of the freshness decay.
+const STALE_EPOCHS: f64 = 64.0;
+/// Cap on emitted recommendations (ranked; the tail is cut).
+const MAX_RECOMMENDATIONS: usize = 8;
 
 /// The advisor's view of one family: label, stratification columns,
 /// and the staleness gauge — decoupled from [`SampleFamily`] so the
@@ -98,7 +83,7 @@ pub struct FamilyUtility {
     pub hit_rate: f64,
     /// `epochs_stale` the score was computed with.
     pub epochs_stale: f64,
-    /// Freshness factor `1 / (1 + epochs_stale / stale_epochs)`.
+    /// Freshness factor `1 / (1 + epochs_stale / 64)`.
     pub freshness: f64,
     /// `covered_share × hit_rate × freshness`.
     pub utility: f64,
@@ -185,13 +170,11 @@ pub fn advise(
     snapshot: &WorkloadSnapshot,
     families: &[FamilyView],
     plan: Option<&SamplePlan>,
-    cfg: &AdvisorConfig,
 ) -> WorkloadAdvice {
-    let stale_knee = cfg.stale_epochs.max(1.0);
     let mut scored: Vec<FamilyUtility> = families
         .iter()
         .map(|f| {
-            let freshness = 1.0 / (1.0 + f.epochs_stale / stale_knee);
+            let freshness = 1.0 / (1.0 + f.epochs_stale / STALE_EPOCHS);
             let (mut covered_share, mut covered_queries, mut covered_hits) = (0.0, 0u64, 0u64);
             for q in &snapshot.qcs {
                 let share = snapshot.share(q);
@@ -272,7 +255,7 @@ pub fn advise(
             builds.push((cols, share));
         }
     }
-    builds.retain(|(_, share)| *share >= cfg.unserved_mass_floor);
+    builds.retain(|(_, share)| *share >= UNSERVED_MASS_FLOOR);
     builds.sort_by(|a, b| {
         b.1.total_cmp(&a.1)
             .then_with(|| a.0.to_string().cmp(&b.0.to_string()))
@@ -284,7 +267,7 @@ pub fn advise(
         .collect();
     let mut restratify: Vec<&FamilyUtility> = scored
         .iter()
-        .filter(|f| !f.is_uniform && f.covered_share > 0.0 && f.epochs_stale >= cfg.stale_epochs)
+        .filter(|f| !f.is_uniform && f.covered_share > 0.0 && f.epochs_stale >= STALE_EPOCHS)
         .collect();
     restratify.sort_by(|a, b| {
         b.epochs_stale
@@ -299,7 +282,7 @@ pub fn advise(
     if snapshot.queries > 0 {
         let mut drops: Vec<&FamilyUtility> = scored
             .iter()
-            .filter(|f| !f.is_uniform && f.utility < cfg.drop_utility_floor)
+            .filter(|f| !f.is_uniform && f.utility < DROP_UTILITY_FLOOR)
             .collect();
         drops.sort_by(|a, b| {
             a.utility
@@ -311,7 +294,7 @@ pub fn advise(
             utility: f.utility,
         }));
     }
-    recommendations.truncate(cfg.max_recommendations);
+    recommendations.truncate(MAX_RECOMMENDATIONS);
 
     WorkloadAdvice {
         families: scored,
@@ -463,7 +446,7 @@ mod tests {
             qcs(&["os"], 40.0, 40, 0, 40),
         ]);
         let families = vec![fam("uniform", &[], 0.0), fam("city", &["city"], 0.0)];
-        let advice = advise(&snap, &families, None, &AdvisorConfig::default());
+        let advice = advise(&snap, &families, None);
         let city = advice.families.iter().find(|f| f.label == "city").unwrap();
         assert!((city.covered_share - 0.6).abs() < 1e-12);
         assert_eq!(city.hit_rate, 1.0);
@@ -488,14 +471,8 @@ mod tests {
     #[test]
     fn staleness_discounts_utility_and_triggers_restratify() {
         let snap = snapshot(vec![qcs(&["city"], 100.0, 100, 100, 0)]);
-        let cfg = AdvisorConfig::default();
-        let fresh = advise(&snap, &[fam("city", &["city"], 0.0)], None, &cfg);
-        let stale = advise(
-            &snap,
-            &[fam("city", &["city"], cfg.stale_epochs)],
-            None,
-            &cfg,
-        );
+        let fresh = advise(&snap, &[fam("city", &["city"], 0.0)], None);
+        let stale = advise(&snap, &[fam("city", &["city"], STALE_EPOCHS)], None);
         assert!((fresh.families[0].utility - 1.0).abs() < 1e-12);
         assert!((stale.families[0].utility - 0.5).abs() < 1e-12, "half-life");
         assert!(matches!(
@@ -513,7 +490,7 @@ mod tests {
             qcs(&[], 20.0, 20, 0, 20),
         ]);
         let families = vec![fam("uniform", &[], 0.0), fam("city", &["city"], 0.0)];
-        let advice = advise(&snap, &families, None, &AdvisorConfig::default());
+        let advice = advise(&snap, &families, None);
         // {os} ⊆ {genre, os}: one Build rec with the combined share.
         let builds: Vec<&Recommendation> = advice
             .recommendations
@@ -546,12 +523,7 @@ mod tests {
             storage_bytes: 0.0,
             proven_optimal: true,
         };
-        let advice = advise(
-            &snap,
-            &[fam("uniform", &[], 0.0)],
-            Some(&plan),
-            &AdvisorConfig::default(),
-        );
+        let advice = advise(&snap, &[fam("uniform", &[], 0.0)], Some(&plan));
         assert!(
             !advice.recommendations.iter().any(|r| r.action() == "build"),
             "{:?}",
@@ -561,13 +533,104 @@ mod tests {
     }
 
     #[test]
+    fn recommendations_are_capped_and_ranked() {
+        // Kinds rank builds, then re-stratifications, then drops.
+        let snap = snapshot(vec![
+            qcs(&["city"], 50.0, 50, 50, 0),
+            qcs(&["os"], 30.0, 30, 0, 30),
+            qcs(&["genre"], 20.0, 20, 0, 20),
+        ]);
+        let families = vec![
+            fam("city", &["city"], STALE_EPOCHS),
+            fam("asn", &["asn"], 0.0),
+        ];
+        let actions: Vec<&str> = advise(&snap, &families, None)
+            .recommendations
+            .iter()
+            .map(Recommendation::action)
+            .collect();
+        assert_eq!(actions, ["build", "build", "restratify", "drop"]);
+
+        // Twelve unserved QCS, each over the floor: only the eight
+        // heaviest survive, heaviest first.
+        let snap = snapshot(
+            (0..12u64)
+                .map(|i| {
+                    let col = format!("c{i:02}");
+                    qcs(&[&col], (20 - i) as f64, 1, 0, 1)
+                })
+                .collect(),
+        );
+        let advice = advise(&snap, &[fam("uniform", &[], 0.0)], None);
+        assert_eq!(advice.recommendations.len(), MAX_RECOMMENDATIONS);
+        let targets: Vec<String> = advice
+            .recommendations
+            .iter()
+            .map(Recommendation::target)
+            .collect();
+        let heaviest: Vec<String> = (0..MAX_RECOMMENDATIONS)
+            .map(|i| format!("{{c{i:02}}}"))
+            .collect();
+        assert_eq!(targets, heaviest);
+    }
+
+    #[test]
+    fn unserved_mass_under_the_floor_draws_no_build() {
+        let floor_mass = UNSERVED_MASS_FLOOR * 100.0;
+        let snap = snapshot(vec![
+            qcs(&["city"], 100.0 - 2.0 * floor_mass, 90, 90, 0),
+            qcs(&["os"], floor_mass - 0.5, 4, 0, 4),
+            qcs(&["genre"], floor_mass + 0.5, 6, 0, 6),
+        ]);
+        let advice = advise(&snap, &[fam("city", &["city"], 0.0)], None);
+        let builds: Vec<String> = advice
+            .recommendations
+            .iter()
+            .filter(|r| r.action() == "build")
+            .map(Recommendation::target)
+            .collect();
+        assert_eq!(builds, ["{genre}"], "{:?}", advice.recommendations);
+        // The light QCS still counts toward the unserved share.
+        assert!((advice.unserved_share - 2.0 * UNSERVED_MASS_FLOOR).abs() < 1e-12);
+    }
+
+    #[test]
+    fn family_under_the_utility_floor_draws_drop() {
+        let floor_mass = DROP_UTILITY_FLOOR * 100.0;
+        let snap = snapshot(vec![
+            qcs(&["city"], 100.0 - 2.0 * floor_mass, 90, 90, 0),
+            qcs(&["os"], floor_mass * 0.9, 5, 5, 0),
+            qcs(&["genre"], floor_mass * 1.1, 5, 5, 0),
+        ]);
+        let families = vec![
+            fam("city", &["city"], 0.0),
+            fam("os", &["os"], 0.0),
+            fam("genre", &["genre"], 0.0),
+        ];
+        let advice = advise(&snap, &families, None);
+        let drops: Vec<&Recommendation> = advice
+            .recommendations
+            .iter()
+            .filter(|r| r.action() == "drop")
+            .collect();
+        assert_eq!(drops.len(), 1, "{drops:?}");
+        match drops[0] {
+            Recommendation::Drop { family, utility } => {
+                assert_eq!(family, "os");
+                assert!(*utility < DROP_UTILITY_FLOOR, "{utility}");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn report_renders_deterministically_with_required_columns() {
         let snap = snapshot(vec![
             qcs(&["city"], 60.0, 60, 60, 0),
             qcs(&["os"], 40.0, 40, 0, 40),
         ]);
         let families = vec![fam("uniform", &[], 0.0), fam("city", &["city"], 0.0)];
-        let advice = advise(&snap, &families, None, &AdvisorConfig::default());
+        let advice = advise(&snap, &families, None);
         let report = render_workload_report(&snap, &advice);
         assert!(report.starts_with("EXPLAIN WORKLOAD\n"), "{report}");
         for needle in [

@@ -59,8 +59,7 @@ pub mod runtime;
 pub mod sampling;
 
 pub use advisor::{
-    advise, render_workload_report, AdvisorConfig, FamilyUtility, FamilyView, Recommendation,
-    WorkloadAdvice,
+    advise, render_workload_report, FamilyUtility, FamilyView, Recommendation, WorkloadAdvice,
 };
 pub use blinkdb::{ApproxAnswer, BlinkDb, BlinkDbConfig, EstimatorPolicy, ExecPolicy};
 pub use epoch::{DataEpoch, SnapshotSwap};

@@ -86,10 +86,11 @@ pub struct ServiceAnswer {
     /// The relaxed ε, when admission degraded the query's error bound.
     pub degraded_epsilon: Option<f64>,
     /// The end-to-end span trace (admission → plan → partition scans →
-    /// merge → finalize), present when the service runs with
-    /// [`ServiceConfig::trace`](crate::ServiceConfig::trace). Cache hits carry the trace of the
-    /// execution that produced the cached answer, prefixed with this
-    /// submission's own admission span.
+    /// merge → finalize), present when the service's effective
+    /// execution policy traces ([`ServiceConfig::exec`](crate::ServiceConfig::exec)
+    /// with `trace` on, else the instance's `config.exec`). Cache hits
+    /// carry the trace of the execution that produced the cached
+    /// answer, prefixed with this submission's own admission span.
     pub trace: Option<Arc<QueryTrace>>,
 }
 
@@ -157,11 +158,6 @@ impl QueryHandle {
             slot = self.state.cv.wait(slot).expect(HANDLE_POISONED);
         }
         (self.ticket, slot.take().expect("checked above"))
-    }
-
-    /// Non-blocking completion check.
-    pub fn is_done(&self) -> bool {
-        self.state.lock().is_some()
     }
 }
 
@@ -329,8 +325,7 @@ impl QueryService {
                 // Unparseable SQL has no parsed template key; fall back
                 // to the lexical template of the raw text.
                 let template = canonical_template(sql);
-                let epoch = inner.db.load().epoch().get();
-                record_rejection(inner, sql, &template, "invalid", None, epoch);
+                record_rejection(inner, &inner.db.load(), sql, &template, "invalid", None);
                 return Err(SubmitError::Invalid(e));
             }
         };
@@ -347,14 +342,7 @@ impl QueryService {
             Ok(eps) => eps,
             Err(e) => {
                 // The reason counter was bumped by `admit`.
-                record_rejection(
-                    inner,
-                    sql,
-                    template.as_str(),
-                    "unsatisfiable",
-                    bound_s,
-                    epoch.get(),
-                );
+                record_rejection(inner, &db, sql, template.as_str(), "unsatisfiable", bound_s);
                 return Err(e);
             }
         };
@@ -421,11 +409,11 @@ impl QueryService {
             inner.metrics.rejected_queue_full.inc();
             record_rejection(
                 inner,
+                &db,
                 sql,
                 job.template.as_str(),
                 "queue_full",
                 bound_s,
-                epoch.get(),
             );
             return Err(SubmitError::QueueFull);
         }
@@ -478,7 +466,7 @@ impl QueryService {
                 epsilon,
                 relative: true,
                 ..
-            }) if inner.cfg.degrade => {
+            }) => {
                 let Some(p) = profile else { return Ok(None) };
                 let Some(relaxed) =
                     degraded_epsilon(&p, db.families(), *epsilon, inner.cfg.default_deadline_s)

@@ -11,7 +11,7 @@ use crate::backlog::{Backlog, PushError};
 use crate::config::AuditPolicy;
 use crate::service::{Inner, QueryService};
 use blinkdb_core::{ApproxAnswer, BlinkDb};
-use blinkdb_telemetry::{AuditAggCheck, AuditConfig, AuditOutcome, Auditor, QueryTrace, Registry};
+use blinkdb_telemetry::{AuditAggCheck, AuditOutcome, Auditor, QueryTrace, Registry};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,14 +39,7 @@ pub(crate) struct AuditLane {
 impl AuditLane {
     pub(crate) fn new(registry: Registry, policy: AuditPolicy) -> Self {
         AuditLane {
-            auditor: Auditor::new(
-                registry,
-                AuditConfig {
-                    sample_every: policy.sample_every,
-                    max_templates: policy.max_templates,
-                    miss_log_capacity: policy.miss_log_capacity,
-                },
-            ),
+            auditor: Auditor::new(registry, policy.sample_every),
             policy,
             backlog: Backlog::new(),
         }

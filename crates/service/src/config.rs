@@ -1,10 +1,16 @@
 //! Service configuration ([`ServiceConfig`], [`AuditPolicy`],
 //! [`IngestConfig`], [`DurabilityConfig`]) and the three error enums
 //! the public API returns. Plain data: nothing here synchronises.
+//!
+//! Only values a caller actually varies are fields. The rest are fixed:
+//! the ELP cache holds 128 templates, the slow-query log keeps 64
+//! records, admission always degrades an error bound that would blow
+//! the latency SLO, and the ingest thread compacts with
+//! `CompactorConfig::default()`. Tracing is a property of the execution
+//! policy ([`ExecPolicy::trace`]), not of the service.
 
 use blinkdb_common::error::BlinkError;
-use blinkdb_core::{CompactorConfig, ExecPolicy};
-use blinkdb_telemetry::ProfileConfig;
+use blinkdb_core::ExecPolicy;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -12,9 +18,7 @@ use std::path::PathBuf;
 #[cfg(doc)]
 use crate::{QueryService, ServiceAnswer};
 #[cfg(doc)]
-use blinkdb_core::Compactor;
-#[cfg(doc)]
-use blinkdb_telemetry::QueryTrace;
+use blinkdb_telemetry::{QueryTrace, WorkloadProfiler};
 
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -24,34 +28,23 @@ pub struct ServiceConfig {
     /// Bounded admission-queue depth; submissions beyond it are rejected
     /// with [`SubmitError::QueueFull`] (backpressure, not buffering).
     pub queue_capacity: usize,
-    /// Entries in the per-template Error–Latency-Profile cache.
-    pub elp_cache_capacity: usize,
     /// Entries in the canonical-query result cache.
     pub result_cache_capacity: usize,
     /// Simulated-seconds deadline assumed for queries without a `WITHIN`
     /// clause (error-bounded and unbounded queries); also the latency
     /// SLO that triggers error-bound degradation.
     pub default_deadline_s: f64,
-    /// Whether admission may *degrade* a relative-error bound (enlarge
-    /// ε) when satisfying the requested ε is predicted to blow the
-    /// latency SLO. With `false` such queries are admitted unchanged.
-    pub degrade: bool,
-    /// Per-query partitioned-execution override ([`ExecPolicy`]:
-    /// partition fan-out, local scan parallelism, early termination).
+    /// Per-query execution override ([`ExecPolicy`]: partition
+    /// fan-out, local scan parallelism, early termination, tracing).
     /// `None` (default) uses the shared instance's `config.exec`.
     /// Admission's latency floor is predicted under the same effective
-    /// policy the workers execute with.
+    /// policy the workers execute with. With [`ExecPolicy::trace`] on,
+    /// every completed answer carries an EXPLAIN ANALYZE-style
+    /// [`QueryTrace`] on [`ServiceAnswer::trace`], and slow-query
+    /// records (rejections included) capture the offender's trace. Off
+    /// (the default) the production path pays nothing and answers are
+    /// bit-identical to an untraced run.
     pub exec: Option<ExecPolicy>,
-    /// Whether workers execute with span tracing on
-    /// ([`ExecPolicy::trace`]): every completed answer then carries an
-    /// EXPLAIN ANALYZE-style [`QueryTrace`] on
-    /// [`ServiceAnswer::trace`], and slow-query records capture the
-    /// offender's trace. Off (the default) the production path pays
-    /// nothing and answers are bit-identical to an untraced run.
-    pub trace: bool,
-    /// Capacity of the bounded slow-query ring buffer
-    /// ([`QueryService::slow_queries`]).
-    pub slow_log_capacity: usize,
     /// Fraction of a query's deadline (its `WITHIN` bound, else
     /// `default_deadline_s`) beyond which a completed query is recorded
     /// in the slow-query log.
@@ -61,11 +54,12 @@ pub struct ServiceConfig {
     /// query path pays nothing.
     pub audit: Option<AuditPolicy>,
     /// Online workload/QCS profiling and ELP calibration tracking
-    /// ([`ProfileConfig`]). On by default: the profiler only copies
-    /// values the pipeline already computed, so answers are
-    /// bit-identical with profiling on or off. `None` disables it; the
-    /// `EXPLAIN WORKLOAD` report then degrades to a fixed header.
-    pub profile: Option<ProfileConfig>,
+    /// ([`WorkloadProfiler`], whose decay, caps and drift threshold
+    /// are fixed). On by default: the profiler only copies values the
+    /// pipeline already computed, so answers are bit-identical with
+    /// profiling on or off. `false` disables it; the `EXPLAIN
+    /// WORKLOAD` report then degrades to a fixed header.
+    pub profile: bool,
 }
 
 impl Default for ServiceConfig {
@@ -73,16 +67,12 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             queue_capacity: 256,
-            elp_cache_capacity: 128,
             result_cache_capacity: 512,
             default_deadline_s: 30.0,
-            degrade: true,
             exec: None,
-            trace: false,
-            slow_log_capacity: 64,
             slow_threshold_frac: 0.9,
             audit: None,
-            profile: Some(ProfileConfig::default()),
+            profile: true,
         }
     }
 }
@@ -95,18 +85,15 @@ impl Default for ServiceConfig {
 /// reported 2σ confidence interval contained the truth. The thread
 /// runs at strictly lower priority than ingest (it defers while
 /// batches are pending), and audits are *shed* — skipped and counted —
-/// under load, so the query hot path never pays for them.
+/// under load, so the query hot path never pays for them. The auditor
+/// tracks 128 templates (later ones share an `overflow` stream) and
+/// keeps the last 64 CI misses.
 #[derive(Debug, Clone, Copy)]
 pub struct AuditPolicy {
     /// Audit every Nth completion of each canonical template (1 =
     /// every completion; the first completion of a template is always
     /// audited).
     pub sample_every: u64,
-    /// Distinct templates tracked before new ones fold into the
-    /// shared `overflow` audit stream.
-    pub max_templates: usize,
-    /// Capacity of the bounded CI-miss accuracy log.
-    pub miss_log_capacity: usize,
     /// Admission-queue depth at or above which an audit candidate is
     /// shed (`blinkdb_audit_shed_total{reason="queue_depth"}`).
     pub shed_queue_depth: usize,
@@ -119,8 +106,6 @@ impl Default for AuditPolicy {
     fn default() -> Self {
         AuditPolicy {
             sample_every: 4,
-            max_templates: 128,
-            miss_log_capacity: 64,
             shed_queue_depth: 64,
             max_backlog: 256,
         }
@@ -128,27 +113,22 @@ impl Default for AuditPolicy {
 }
 
 /// Tuning for the live-ingestion/maintenance thread
-/// ([`QueryService::with_ingest`]).
+/// ([`QueryService::with_ingest`]). After each applied batch the
+/// thread also runs one background compaction tick with
+/// `CompactorConfig::default()`: pure metadata that never advances the
+/// epoch or blocks a reader.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestConfig {
     /// Total-variation drift beyond which a family is fully resampled
     /// on ingest instead of incrementally folded (the maintainer's §4.5
     /// threshold).
     pub drift_threshold: f64,
-    /// Background compaction knobs: the ingest thread runs one
-    /// [`Compactor`] tick after each applied batch, merging runs of
-    /// small sealed segments into larger generations (and, when
-    /// enabled there, managing family residency from the ELP cache's
-    /// hot set). Pure metadata — never advances the epoch, never
-    /// blocks a reader.
-    pub compaction: CompactorConfig,
 }
 
 impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
             drift_threshold: 0.05,
-            compaction: CompactorConfig::default(),
         }
     }
 }

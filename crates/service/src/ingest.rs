@@ -14,8 +14,8 @@ use crate::service::{Inner, QueryService};
 use blinkdb_common::error::BlinkError;
 use blinkdb_common::Value;
 use blinkdb_core::{
-    BlinkDb, CheckpointState, Compactor, DataEpoch, IngestMaintenance, Maintainer, PlanProfile,
-    SaveReport,
+    BlinkDb, CheckpointState, Compactor, CompactorConfig, DataEpoch, IngestMaintenance, Maintainer,
+    PlanProfile, SaveReport,
 };
 use blinkdb_persist::{decode_batch, encode_batch, Wal};
 use blinkdb_sql::canonical::CanonicalKey;
@@ -425,7 +425,8 @@ pub(crate) fn ingest_loop(inner: &Inner, state: MasterState) {
     let ingest = inner.ingest.as_ref().expect("ingest state exists");
     let mut maintainer =
         Maintainer::new(cfg.drift_threshold).with_telemetry(inner.metrics.registry.clone());
-    let compactor = Compactor::new(cfg.compaction).with_telemetry(inner.metrics.registry.clone());
+    let compactor =
+        Compactor::new(CompactorConfig::default()).with_telemetry(inner.metrics.registry.clone());
     // Accepted batches are drained before shutdown exits: `next` only
     // reports the end once the queue is empty.
     while let Some(batch) = ingest.backlog.next() {

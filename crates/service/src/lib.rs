@@ -98,7 +98,6 @@ mod worker;
 mod fixtures;
 
 pub use admission::{QueryHandle, QueryTicket, ServiceAnswer};
-pub use blinkdb_telemetry::ProfileConfig;
 pub use cache::LruCache;
 pub use config::{
     AuditPolicy, DurabilityConfig, IngestConfig, IngestError, ServiceConfig, ServiceError,

@@ -31,8 +31,8 @@ use crate::ingest::{ingest_loop, IngestLane, MasterState};
 use crate::metrics::{MetricsRegistry, ServiceMetrics};
 use crate::worker::worker_loop;
 use blinkdb_core::{
-    advise, render_workload_report, AdvisorConfig, ApproxAnswer, BlinkDb, DataEpoch, ExecPolicy,
-    FamilyView, PlanProfile, SnapshotSwap, WorkloadAdvice,
+    advise, render_workload_report, ApproxAnswer, BlinkDb, DataEpoch, ExecPolicy, FamilyView,
+    PlanProfile, SnapshotSwap, WorkloadAdvice,
 };
 use blinkdb_sql::canonical::CanonicalKey;
 use blinkdb_telemetry::{
@@ -42,6 +42,11 @@ use blinkdb_telemetry::{
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// Templates in the Error–Latency-Profile cache.
+const ELP_CACHE_CAPACITY: usize = 128;
+/// Records in the bounded slow-query log.
+const SLOW_LOG_CAPACITY: usize = 64;
 
 /// The state every service thread shares. Nothing here is locked by
 /// hand: each field that needs synchronisation owns it (`JobQueue`,
@@ -70,15 +75,11 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    /// The policy workers execute with, and admission prices against:
-    /// the service override (else the pinned instance's `config.exec`)
-    /// with span tracing switched on when the service traces. With
-    /// tracing off the policy passes through untouched, so the core path
-    /// is bit-identical to an untraced service.
+    /// The policy workers execute with, admission prices against and
+    /// rejections trace under: the service override, else the pinned
+    /// instance's `config.exec`.
     pub(crate) fn exec_policy(&self, db: &BlinkDb) -> ExecPolicy {
-        let mut policy = self.cfg.exec.unwrap_or(db.config().exec);
-        policy.trace |= self.cfg.trace;
-        policy
+        self.cfg.exec.unwrap_or(db.config().exec)
     }
 }
 
@@ -88,7 +89,7 @@ impl Inner {
 ///
 /// * a bounded admission queue with backpressure,
 /// * ELP-based admission control (reject unsatisfiable `WITHIN` bounds,
-///   optionally degrade too-expensive error bounds),
+///   degrade too-expensive error bounds),
 /// * earliest-deadline-first scheduling across N worker threads,
 /// * a per-template Error–Latency-Profile cache (repeat templates skip
 ///   the §4.1/§4.2 probe phase), and
@@ -153,21 +154,19 @@ impl QueryService {
             db: SnapshotSwap::new(snapshot),
             cfg,
             queue: JobQueue::new(cfg.queue_capacity),
-            elp: LockedCache::new(cfg.elp_cache_capacity),
+            elp: LockedCache::new(ELP_CACHE_CAPACITY),
             results: LockedCache::new(cfg.result_cache_capacity),
             ingest: master.as_ref().map(|_| IngestLane::new()),
             audit: cfg
                 .audit
                 .map(|policy| AuditLane::new(registry.clone(), policy)),
-            profiler: cfg
-                .profile
-                .map(|profile| WorkloadProfiler::new(registry.clone(), profile)),
+            profiler: cfg.profile.then(|| WorkloadProfiler::new(registry.clone())),
             alerts: AlertEngine::new(
                 registry.clone(),
                 default_blinkdb_rules(cfg.default_deadline_s),
             ),
             metrics: MetricsRegistry::new(registry),
-            slow_log: SlowQueryLog::new(cfg.slow_log_capacity),
+            slow_log: SlowQueryLog::new(SLOW_LOG_CAPACITY),
             next_id: AtomicU64::new(0),
         });
         let workers = (0..cfg.workers)
@@ -274,13 +273,6 @@ impl QueryService {
         self.inner.alerts.evaluate()
     }
 
-    /// The alert engine's deterministic text rendering (one line per
-    /// rule), evaluated fresh.
-    pub fn render_alerts(&self) -> String {
-        let _ = self.alerts();
-        self.inner.alerts.render()
-    }
-
     /// The `EXPLAIN ACCURACY` report: per-template audit coverage and
     /// realized error. A fixed header line when auditing is disabled.
     pub fn accuracy_report(&self) -> String {
@@ -351,7 +343,7 @@ impl QueryService {
                 FamilyView::from_family(f, stale)
             })
             .collect();
-        let advice = advise(&snapshot, &families, db.plan(), &AdvisorConfig::default());
+        let advice = advise(&snapshot, &families, db.plan());
         registry.set_gauge("blinkdb_advisor_unserved_share", advice.unserved_share);
         for f in &advice.families {
             registry

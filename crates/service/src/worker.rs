@@ -11,6 +11,7 @@ use crate::admission::{Job, ServiceAnswer};
 use crate::audit::maybe_enqueue_audit;
 use crate::config::ServiceError;
 use crate::service::Inner;
+use blinkdb_core::BlinkDb;
 use blinkdb_sql::ast::Bound;
 use blinkdb_telemetry::{
     QuerySample, QueryTrace, ServeOutcome, SlowOutcome, SlowQueryRecord, SpanKind, TraceSpan,
@@ -246,21 +247,21 @@ pub(crate) fn service_trace(
     Arc::new(QueryTrace::new(root))
 }
 
-/// Terminal accounting for a rejected submission: the zero queue wait
-/// (it never queued) and a slow-log record — with a minimal
-/// admission-only trace when tracing is on — so rejections are as
-/// observable as completions. The reason counter is bumped by the
-/// caller.
+/// Terminal accounting for a rejected submission against the pinned
+/// snapshot `db`: the zero queue wait (it never queued) and a slow-log
+/// record — with a minimal admission-only trace when the effective
+/// execution policy traces — so rejections are as observable as
+/// completions. The reason counter is bumped by the caller.
 pub(crate) fn record_rejection(
     inner: &Inner,
+    db: &BlinkDb,
     sql: &str,
     template: &str,
     reason: &'static str,
     bound_s: Option<f64>,
-    epoch: u64,
 ) {
     inner.metrics.queue_waits.observe(0.0);
-    let trace = inner.cfg.trace.then(|| {
+    let trace = inner.exec_policy(db).trace.then(|| {
         let mut root = TraceSpan::new(SpanKind::Query, "query");
         root.push(
             TraceSpan::new(SpanKind::Admission, "admission")
@@ -273,7 +274,7 @@ pub(crate) fn record_rejection(
     inner.slow_log.push(slow_record(
         sql,
         template,
-        epoch,
+        db.epoch().get(),
         bound_s,
         0.0,
         SlowOutcome::Rejected { reason },

@@ -26,7 +26,6 @@
 //! after a long healthy history (and recovery resolves it).
 
 use crate::registry::Registry;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// What a rule watches.
@@ -280,43 +279,6 @@ impl AlertEngine {
         }
         out
     }
-
-    /// Last-evaluated statuses without running a new pass.
-    pub fn statuses(&self) -> Vec<AlertStatus> {
-        let runtime = self.runtime.lock().unwrap();
-        self.rules
-            .iter()
-            .zip(runtime.iter())
-            .map(|(rule, rt)| AlertStatus {
-                rule: rule.name.clone(),
-                state: rt.state,
-                value: rt.value,
-                fired: rt.fired,
-                resolved: rt.resolved,
-            })
-            .collect()
-    }
-
-    /// Deterministic one-line-per-rule text summary.
-    pub fn render(&self) -> String {
-        let mut out = String::from("ALERTS\n");
-        for s in self.statuses() {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>8} value={} fired={} resolved={}",
-                s.rule,
-                s.state.as_str(),
-                if s.value.is_nan() {
-                    "-".to_string()
-                } else {
-                    format!("{:.4}", s.value)
-                },
-                s.fired,
-                s.resolved
-            );
-        }
-        out
-    }
 }
 
 /// The default BlinkDB rule set: audited CI coverage under 90% over a
@@ -512,6 +474,5 @@ mod tests {
         for s in e.evaluate() {
             assert_ne!(s.state, AlertState::Firing, "{}", s.rule);
         }
-        assert!(e.render().starts_with("ALERTS\n"));
     }
 }

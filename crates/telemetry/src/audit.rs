@@ -32,32 +32,13 @@
 
 use crate::registry::{Counter, Gauge, Registry};
 use crate::trace::QueryTrace;
+use crate::{bounded_key, MAX_TEMPLATES};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-/// Sampling and bookkeeping policy for the [`Auditor`].
-#[derive(Debug, Clone)]
-pub struct AuditConfig {
-    /// Audit every Nth completion of each template (1 = every query,
-    /// the first completion of a template is always audited). Min 1.
-    pub sample_every: u64,
-    /// Distinct templates tracked before new ones fold into the
-    /// `overflow` template (bounds the per-template state).
-    pub max_templates: usize,
-    /// Capacity of the bounded accuracy-miss log.
-    pub miss_log_capacity: usize,
-}
-
-impl Default for AuditConfig {
-    fn default() -> Self {
-        AuditConfig {
-            sample_every: 4,
-            max_templates: 128,
-            miss_log_capacity: 64,
-        }
-    }
-}
+/// Capacity of the bounded accuracy-miss log.
+const MISS_LOG_CAPACITY: usize = 64;
 
 /// One per-aggregate comparison between the served estimate and the
 /// audited ground truth.
@@ -171,7 +152,7 @@ struct AuditorInner {
 /// Online accuracy auditor. Cloning shares all state; handles are cheap.
 #[derive(Debug, Clone)]
 pub struct Auditor {
-    cfg: AuditConfig,
+    sample_every: u64,
     registry: Registry,
     inner: Arc<Mutex<AuditorInner>>,
     audits_total: Counter,
@@ -182,13 +163,11 @@ pub struct Auditor {
 }
 
 impl Auditor {
-    /// New auditor registering its series into `registry`.
-    pub fn new(registry: Registry, cfg: AuditConfig) -> Self {
-        let cfg = AuditConfig {
-            sample_every: cfg.sample_every.max(1),
-            max_templates: cfg.max_templates.max(1),
-            miss_log_capacity: cfg.miss_log_capacity.max(1),
-        };
+    /// New auditor registering its series into `registry`, auditing
+    /// every `sample_every`-th completion of each template (1 = every
+    /// completion; the first completion of a template is always
+    /// audited). Min 1.
+    pub fn new(registry: Registry, sample_every: u64) -> Self {
         Auditor {
             audits_total: registry.counter("blinkdb_audits_total"),
             checks_total: registry.counter("blinkdb_audit_checks_total"),
@@ -196,7 +175,7 @@ impl Auditor {
             coverage: registry.gauge("blinkdb_audit_coverage"),
             miss_log_size: registry.gauge("blinkdb_audit_miss_log_size"),
             registry,
-            cfg,
+            sample_every: sample_every.max(1),
             inner: Arc::new(Mutex::new(AuditorInner {
                 sigma_scale: 1.0,
                 stats: BTreeMap::new(),
@@ -205,22 +184,17 @@ impl Auditor {
         }
     }
 
-    /// The sampling/bookkeeping policy in force.
-    pub fn config(&self) -> &AuditConfig {
-        &self.cfg
-    }
-
     /// Counts one completion of `template` and decides whether it
     /// should be audited: deterministic interval sampling — the 1st,
     /// (N+1)th, (2N+1)th, ... completion of each template, N =
-    /// `sample_every`. Templates beyond `max_templates` share the
+    /// `sample_every`. Templates beyond the first 128 share the
     /// `overflow` stream.
     pub fn should_audit(&self, template: &str) -> bool {
         let mut g = self.inner.lock().unwrap();
-        let key = bounded_key(&g.stats, self.cfg.max_templates, template);
+        let key = bounded_key(&g.stats, MAX_TEMPLATES, template);
         let st = g.stats.entry(key).or_default();
         st.completions += 1;
-        (st.completions - 1).is_multiple_of(self.cfg.sample_every)
+        (st.completions - 1).is_multiple_of(self.sample_every)
     }
 
     /// Counts an audit skipped under load (`reason` ∈ `queue_depth`,
@@ -248,7 +222,7 @@ impl Auditor {
     pub fn record_audit(&self, outcome: AuditOutcome) -> AuditSummary {
         let mut g = self.inner.lock().unwrap();
         let sigma_scale = g.sigma_scale;
-        let key = bounded_key(&g.stats, self.cfg.max_templates, &outcome.template);
+        let key = bounded_key(&g.stats, MAX_TEMPLATES, &outcome.template);
         let mut summary = AuditSummary {
             checks: 0,
             hits: 0,
@@ -272,7 +246,7 @@ impl Auditor {
                 )
                 .observe(rel);
             if !hit {
-                if g.misses.len() == self.cfg.miss_log_capacity {
+                if g.misses.len() == MISS_LOG_CAPACITY {
                     g.misses.pop_front();
                 }
                 let record = AuditMissRecord {
@@ -379,20 +353,9 @@ impl Auditor {
             checks,
             overall,
             g.misses.len(),
-            self.cfg.miss_log_capacity
+            MISS_LOG_CAPACITY
         );
         out
-    }
-}
-
-/// Bounded template key: an already-tracked template resolves to
-/// itself; a new one is admitted while under the cap, else folds into
-/// `overflow`.
-fn bounded_key(stats: &BTreeMap<String, TemplateStats>, cap: usize, template: &str) -> String {
-    if stats.contains_key(template) || stats.len() < cap {
-        template.to_string()
-    } else {
-        "overflow".to_string()
     }
 }
 
@@ -504,13 +467,7 @@ mod tests {
 
     #[test]
     fn interval_sampling_is_deterministic_per_template() {
-        let a = Auditor::new(
-            Registry::new(),
-            AuditConfig {
-                sample_every: 3,
-                ..AuditConfig::default()
-            },
-        );
+        let a = Auditor::new(Registry::new(), 3);
         let picks: Vec<bool> = (0..7).map(|_| a.should_audit("T1")).collect();
         assert_eq!(picks, [true, false, false, true, false, false, true]);
         assert!(a.should_audit("T2"), "each template has its own stream");
@@ -519,7 +476,7 @@ mod tests {
     #[test]
     fn coverage_counters_and_miss_log_update() {
         let r = Registry::new();
-        let a = Auditor::new(r.clone(), AuditConfig::default());
+        let a = Auditor::new(r.clone(), 4);
         // 3 hits (inside 2σ, exact, unavailable), 1 miss.
         let s = a.record_audit(outcome(
             "T",
@@ -551,7 +508,7 @@ mod tests {
 
     #[test]
     fn sigma_scale_injects_variance_underestimates() {
-        let a = Auditor::new(Registry::new(), AuditConfig::default());
+        let a = Auditor::new(Registry::new(), 4);
         let c = check(10.0, 10.5, 0.3); // hit at 2σ = 0.6
         assert!(c.hit(1.0));
         a.set_sigma_scale(0.1);
@@ -561,26 +518,21 @@ mod tests {
 
     #[test]
     fn miss_log_is_bounded_and_templates_overflow() {
-        let a = Auditor::new(
-            Registry::new(),
-            AuditConfig {
-                sample_every: 1,
-                max_templates: 2,
-                miss_log_capacity: 3,
-            },
-        );
-        for i in 0..6 {
+        let a = Auditor::new(Registry::new(), 1);
+        // MAX_TEMPLATES distinct templates fill the table; the last
+        // MISS_LOG_CAPACITY arrive after the cap and fold into overflow.
+        for i in 0..MAX_TEMPLATES + MISS_LOG_CAPACITY {
             let t = TraceSpan::new(SpanKind::Query, format!("q{i}"));
             let mut o = outcome(&format!("T{i}"), vec![check(1.0, 100.0, 0.001)]);
             o.trace = Some(Arc::new(QueryTrace::new(t)));
             a.record_audit(o);
         }
         let misses = a.misses();
-        assert_eq!(misses.len(), 3, "ring evicts oldest");
+        assert_eq!(misses.len(), MISS_LOG_CAPACITY, "ring evicts oldest");
         assert_eq!(misses[0].template, "overflow");
         assert!(misses[2].trace.is_some(), "miss carries the trace");
         let report = a.report();
         assert!(report.contains("overflow"), "{report}");
-        assert!(report.contains("misses_logged=3/3"), "{report}");
+        assert!(report.contains("misses_logged=64/64"), "{report}");
     }
 }

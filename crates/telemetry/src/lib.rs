@@ -54,14 +54,28 @@ pub use alert::{
     default_blinkdb_rules, AlertEngine, AlertRule, AlertState, AlertStatus, Direction, Signal,
 };
 pub use audit::{
-    canonical_template, AuditAggCheck, AuditConfig, AuditMissRecord, AuditOutcome, AuditSummary,
-    Auditor,
+    canonical_template, AuditAggCheck, AuditMissRecord, AuditOutcome, AuditSummary, Auditor,
 };
 pub use export::{render_json, render_prometheus, validate_json, validate_prometheus};
 pub use profile::{
-    qcs_key, CalibrationUpdate, ProfileConfig, QcsProfile, QuerySample, ServeOutcome,
-    TemplateCalibration, WorkloadProfiler, WorkloadSnapshot, QCS_NONE,
+    qcs_key, CalibrationUpdate, QcsProfile, QuerySample, ServeOutcome, TemplateCalibration,
+    WorkloadProfiler, WorkloadSnapshot, QCS_NONE,
 };
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, DEFAULT_LABEL_CAP};
 pub use slowlog::{SlowOutcome, SlowQueryLog, SlowQueryRecord};
 pub use trace::{AttrValue, QueryTrace, SpanKind, TraceSpan};
+
+/// Distinct templates the auditor and the profiler each track before
+/// new ones fold into a shared `overflow` stream.
+const MAX_TEMPLATES: usize = 128;
+
+/// Bounded key: an already-tracked key resolves to itself; a new one is
+/// admitted while `map` holds fewer than `cap` keys, else folds into
+/// `overflow`.
+fn bounded_key<V>(map: &std::collections::BTreeMap<String, V>, cap: usize, key: &str) -> String {
+    if map.contains_key(key) || map.len() < cap {
+        key.to_string()
+    } else {
+        "overflow".to_string()
+    }
+}

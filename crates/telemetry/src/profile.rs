@@ -31,42 +31,23 @@
 //! shared `overflow` stream exactly like the audit module's.
 
 use crate::registry::{Counter, Gauge, Registry};
+use crate::{bounded_key, MAX_TEMPLATES};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// Decay, cardinality, and calibration policy for the
-/// [`WorkloadProfiler`].
-#[derive(Debug, Clone, Copy)]
-pub struct ProfileConfig {
-    /// Multiplicative decay applied to all previously-observed QCS mass
-    /// per recorded query (1.0 = never forget; clamped to (0, 1]).
-    pub decay: f64,
-    /// Distinct query column sets tracked before new ones fold into the
-    /// `overflow` stream.
-    pub max_qcs: usize,
-    /// Distinct templates tracked for calibration before folding.
-    pub max_templates: usize,
-    /// EWMA weight on the newest `log2(actual/predicted)` observation.
-    pub calibration_alpha: f64,
-    /// Calibration samples a template needs before a drift verdict.
-    pub calibration_min_samples: u64,
-    /// Geometric calibration ratio at which a template counts as
-    /// drifted: `ratio > drift_ratio` or `ratio < 1/drift_ratio`.
-    pub drift_ratio: f64,
-}
-
-impl Default for ProfileConfig {
-    fn default() -> Self {
-        ProfileConfig {
-            decay: 0.998,
-            max_qcs: 64,
-            max_templates: 128,
-            calibration_alpha: 0.25,
-            calibration_min_samples: 8,
-            drift_ratio: 2.0,
-        }
-    }
-}
+/// Multiplicative decay applied to all previously-observed QCS mass per
+/// recorded query.
+const DECAY: f64 = 0.998;
+/// Distinct query column sets tracked before new ones fold into the
+/// `overflow` stream.
+const MAX_QCS: usize = 64;
+/// EWMA weight on the newest `log2(actual/predicted)` observation.
+const CALIBRATION_ALPHA: f64 = 0.25;
+/// Calibration samples a template needs before a drift verdict.
+const CALIBRATION_MIN_SAMPLES: u64 = 8;
+/// Geometric calibration ratio at which a template counts as drifted:
+/// `ratio > DRIFT_RATIO` or `ratio < 1/DRIFT_RATIO`.
+const DRIFT_RATIO: f64 = 2.0;
 
 /// How a completed query was served, from the profiler's perspective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,8 +109,8 @@ pub struct CalibrationUpdate {
     /// Geometric-mean EWMA of `actual/predicted` (1.0 = perfectly
     /// calibrated; `NaN` before any calibrated sample).
     pub ratio: f64,
-    /// True when the template's ratio has drifted past the configured
-    /// threshold with enough samples — the caller should stop trusting
+    /// True when the template's ratio has drifted past 2× either way
+    /// with at least 8 samples — the caller should stop trusting
     /// (invalidate) the template's cached plan profile.
     pub drifted: bool,
 }
@@ -142,7 +123,7 @@ struct QcsState {
     hits: u64,
     fallbacks: u64,
     misses: u64,
-    /// Serve counts per family label (bounded by `max_qcs` keys overall,
+    /// Serve counts per family label (bounded by `MAX_QCS` keys overall,
     /// families are few).
     families: BTreeMap<String, u64>,
     /// EWMA of log2(actual/predicted) restricted to this QCS.
@@ -156,12 +137,31 @@ struct TemplateState {
     ewma_log2: f64,
 }
 
+impl TemplateState {
+    /// Enough samples for a verdict, and the ratio is past
+    /// [`DRIFT_RATIO`] either way.
+    fn drifted(&self) -> bool {
+        self.samples >= CALIBRATION_MIN_SAMPLES && self.ewma_log2.abs() > DRIFT_RATIO.log2()
+    }
+}
+
 #[derive(Debug)]
 struct ProfilerInner {
     predicted_scale: f64,
     total_mass: f64,
     qcs: BTreeMap<String, QcsState>,
     templates: BTreeMap<String, TemplateState>,
+}
+
+impl ProfilerInner {
+    /// Largest `|log2(ratio)|` across templates with enough samples.
+    fn max_abs_log2_drift(&self) -> f64 {
+        self.templates
+            .values()
+            .filter(|t| t.samples >= CALIBRATION_MIN_SAMPLES)
+            .map(|t| t.ewma_log2.abs())
+            .fold(0.0, f64::max)
+    }
 }
 
 /// Per-QCS view in a [`WorkloadSnapshot`].
@@ -244,7 +244,6 @@ impl WorkloadSnapshot {
 /// shares all state; handles are cheap.
 #[derive(Debug, Clone)]
 pub struct WorkloadProfiler {
-    cfg: ProfileConfig,
     registry: Registry,
     inner: Arc<Mutex<ProfilerInner>>,
     queries_total: Counter,
@@ -267,25 +266,12 @@ pub fn qcs_key(columns: &[String]) -> String {
 
 impl WorkloadProfiler {
     /// New profiler registering its series into `registry`.
-    pub fn new(registry: Registry, cfg: ProfileConfig) -> Self {
-        let cfg = ProfileConfig {
-            decay: if cfg.decay > 0.0 && cfg.decay <= 1.0 {
-                cfg.decay
-            } else {
-                1.0
-            },
-            max_qcs: cfg.max_qcs.max(1),
-            max_templates: cfg.max_templates.max(1),
-            calibration_alpha: cfg.calibration_alpha.clamp(0.01, 1.0),
-            calibration_min_samples: cfg.calibration_min_samples.max(1),
-            drift_ratio: cfg.drift_ratio.max(1.0 + 1e-9),
-        };
+    pub fn new(registry: Registry) -> Self {
         WorkloadProfiler {
             queries_total: registry.counter("blinkdb_workload_queries_total"),
             distinct_qcs: registry.gauge("blinkdb_workload_distinct_qcs"),
             drift: registry.gauge("blinkdb_elp_calibration_drift"),
             registry,
-            cfg,
             inner: Arc::new(Mutex::new(ProfilerInner {
                 predicted_scale: 1.0,
                 total_mass: 0.0,
@@ -293,11 +279,6 @@ impl WorkloadProfiler {
                 templates: BTreeMap::new(),
             })),
         }
-    }
-
-    /// The policy in force.
-    pub fn config(&self) -> &ProfileConfig {
-        &self.cfg
     }
 
     /// Rescales every subsequently-recorded predicted scan time (1.0 =
@@ -319,14 +300,12 @@ impl WorkloadProfiler {
         let scale = g.predicted_scale;
 
         // ---- Decayed QCS mass ----
-        if self.cfg.decay < 1.0 {
-            g.total_mass *= self.cfg.decay;
-            for st in g.qcs.values_mut() {
-                st.mass *= self.cfg.decay;
-            }
+        g.total_mass *= DECAY;
+        for st in g.qcs.values_mut() {
+            st.mass *= DECAY;
         }
         let raw_key = qcs_key(&sample.qcs);
-        let key = bounded(&g.qcs, self.cfg.max_qcs, &raw_key);
+        let key = bounded_key(&g.qcs, MAX_QCS, &raw_key);
         let folded = key != raw_key;
         g.total_mass += 1.0;
         let distinct = g.qcs.len() as f64;
@@ -348,7 +327,7 @@ impl WorkloadProfiler {
         let predicted = sample.predicted_s * scale;
         let calibrated = predicted > 0.0 && sample.actual_s > 0.0;
         let mut update = CalibrationUpdate {
-            template: bounded(&g.templates, self.cfg.max_templates, &sample.template),
+            template: bounded_key(&g.templates, MAX_TEMPLATES, &sample.template),
             samples: 0,
             ratio: f64::NAN,
             drifted: false,
@@ -358,20 +337,13 @@ impl WorkloadProfiler {
             let log2 = ratio.log2();
             let st = g.qcs.entry(key.clone()).or_default();
             st.cal_samples += 1;
-            st.cal_log2 = ewma(
-                st.cal_log2,
-                log2,
-                st.cal_samples,
-                self.cfg.calibration_alpha,
-            );
-            let alpha = self.cfg.calibration_alpha;
+            st.cal_log2 = ewma(st.cal_log2, log2, st.cal_samples);
             let t = g.templates.entry(update.template.clone()).or_default();
             t.samples += 1;
-            t.ewma_log2 = ewma(t.ewma_log2, log2, t.samples, alpha);
+            t.ewma_log2 = ewma(t.ewma_log2, log2, t.samples);
             update.samples = t.samples;
             update.ratio = t.ewma_log2.exp2();
-            update.drifted = t.samples >= self.cfg.calibration_min_samples
-                && t.ewma_log2.abs() > self.cfg.drift_ratio.log2();
+            update.drifted = t.drifted();
             self.registry
                 .histogram("blinkdb_elp_calibration_ratio")
                 .observe(ratio);
@@ -384,8 +356,7 @@ impl WorkloadProfiler {
         } else if let Some(t) = g.templates.get(&update.template) {
             update.samples = t.samples;
             update.ratio = t.ewma_log2.exp2();
-            update.drifted = t.samples >= self.cfg.calibration_min_samples
-                && t.ewma_log2.abs() > self.cfg.drift_ratio.log2();
+            update.drifted = t.drifted();
         }
         // Error-bound headroom: how much of the requested ε the answer
         // actually reported (ratio < 1 = inside the bound).
@@ -396,12 +367,7 @@ impl WorkloadProfiler {
                     .observe(sample.reported_rel_error / eps);
             }
         }
-        let max_drift = g
-            .templates
-            .values()
-            .filter(|t| t.samples >= self.cfg.calibration_min_samples)
-            .map(|t| t.ewma_log2.abs())
-            .fold(0.0, f64::max);
+        let max_drift = g.max_abs_log2_drift();
         drop(g);
 
         // ---- Registry mirrors (outside the lock) ----
@@ -459,43 +425,26 @@ impl WorkloadProfiler {
                 template: template.clone(),
                 samples: t.samples,
                 ratio: t.ewma_log2.exp2(),
-                drifted: t.samples >= self.cfg.calibration_min_samples
-                    && t.ewma_log2.abs() > self.cfg.drift_ratio.log2(),
+                drifted: t.drifted(),
             })
             .collect();
-        let max_abs_log2_drift = g
-            .templates
-            .values()
-            .filter(|t| t.samples >= self.cfg.calibration_min_samples)
-            .map(|t| t.ewma_log2.abs())
-            .fold(0.0, f64::max);
         WorkloadSnapshot {
             queries: self.queries_total.get(),
             total_mass: g.total_mass,
             qcs,
             templates,
-            max_abs_log2_drift,
+            max_abs_log2_drift: g.max_abs_log2_drift(),
         }
     }
 }
 
 /// Sample-count-aware EWMA: the first observation seeds the average
-/// directly; later ones blend with weight `alpha`.
-fn ewma(prev: f64, obs: f64, samples_now: u64, alpha: f64) -> f64 {
+/// directly; later ones blend with weight [`CALIBRATION_ALPHA`].
+fn ewma(prev: f64, obs: f64, samples_now: u64) -> f64 {
     if samples_now <= 1 {
         obs
     } else {
-        prev * (1.0 - alpha) + obs * alpha
-    }
-}
-
-/// Bounded key: an already-tracked key resolves to itself; a new one is
-/// admitted while under the cap, else folds into `overflow`.
-fn bounded<V>(map: &BTreeMap<String, V>, cap: usize, key: &str) -> String {
-    if map.contains_key(key) || map.len() < cap {
-        key.to_string()
-    } else {
-        "overflow".to_string()
+        prev * (1.0 - CALIBRATION_ALPHA) + obs * CALIBRATION_ALPHA
     }
 }
 
@@ -520,28 +469,22 @@ mod tests {
     #[test]
     fn qcs_mass_decays_and_counters_accumulate() {
         let r = Registry::new();
-        let p = WorkloadProfiler::new(
-            r.clone(),
-            ProfileConfig {
-                decay: 0.5,
-                ..ProfileConfig::default()
-            },
-        );
+        let p = WorkloadProfiler::new(r.clone());
         p.record(&sample(&["city"], "city", ServeOutcome::Hit));
         p.record(&sample(&["os"], "uniform", ServeOutcome::Fallback));
         p.record(&sample(&["os"], "uniform", ServeOutcome::Miss));
         let snap = p.snapshot();
         assert_eq!(snap.queries, 3);
-        // city mass decayed twice: 1 * 0.5 * 0.5; os: 1 * 0.5 + 1.
+        // city mass decayed twice: 1 * DECAY * DECAY; os: 1 * DECAY + 1.
         let city = snap.qcs.iter().find(|q| q.key == "city").unwrap();
         let os = snap.qcs.iter().find(|q| q.key == "os").unwrap();
-        assert!((city.mass - 0.25).abs() < 1e-12);
-        assert!((os.mass - 1.5).abs() < 1e-12);
+        assert!((city.mass - DECAY * DECAY).abs() < 1e-12);
+        assert!((os.mass - (DECAY + 1.0)).abs() < 1e-12);
         assert_eq!(snap.qcs[0].key, "os", "heaviest first");
         assert_eq!((os.fallbacks, os.misses), (1, 1));
         assert_eq!(os.top_family, "uniform");
         assert_eq!(city.hit_rate(), 1.0);
-        assert!((snap.total_mass - 1.75).abs() < 1e-12);
+        assert!((snap.total_mass - (DECAY * DECAY + DECAY + 1.0)).abs() < 1e-12);
         assert_eq!(r.counter("blinkdb_workload_queries_total").get(), 3);
         assert_eq!(
             r.counter_labeled(
@@ -556,42 +499,35 @@ mod tests {
 
     #[test]
     fn empty_qcs_and_overflow_fold_into_bounded_keys() {
-        let p = WorkloadProfiler::new(
-            Registry::new(),
-            ProfileConfig {
-                max_qcs: 2,
-                ..ProfileConfig::default()
-            },
-        );
+        let p = WorkloadProfiler::new(Registry::new());
         p.record(&sample(&[], "uniform", ServeOutcome::Fallback));
-        for c in ["a", "b", "c", "d"] {
-            p.record(&sample(&[c], "uniform", ServeOutcome::Fallback));
+        // The empty QCS takes one of the MAX_QCS slots; the last three
+        // columns arrive after the cap.
+        for i in 0..MAX_QCS + 2 {
+            let c = format!("c{i}");
+            p.record(&sample(&[&c], "uniform", ServeOutcome::Fallback));
         }
         let snap = p.snapshot();
         let keys: Vec<&str> = snap.qcs.iter().map(|q| q.key.as_str()).collect();
         assert!(keys.contains(&QCS_NONE), "{keys:?}");
         assert!(keys.contains(&"overflow"), "{keys:?}");
-        assert_eq!(snap.qcs.len(), 3, "2 admitted + overflow: {keys:?}");
+        assert_eq!(
+            snap.qcs.len(),
+            MAX_QCS + 1,
+            "MAX_QCS admitted + overflow: {keys:?}"
+        );
         let overflow = snap.qcs.iter().find(|q| q.key == "overflow").unwrap();
-        assert_eq!(overflow.queries, 3, "b, c, d folded");
+        assert_eq!(overflow.queries, 3, "the last three columns folded");
         assert!(overflow.columns.is_empty(), "folded keys carry no columns");
     }
 
     #[test]
     fn calibration_drift_fires_after_min_samples_and_recovers() {
         let r = Registry::new();
-        let p = WorkloadProfiler::new(
-            r.clone(),
-            ProfileConfig {
-                calibration_min_samples: 4,
-                calibration_alpha: 0.5,
-                drift_ratio: 2.0,
-                ..ProfileConfig::default()
-            },
-        );
+        let p = WorkloadProfiler::new(r.clone());
         let mut s = sample(&["city"], "city", ServeOutcome::Hit);
         // Honest: actual == predicted → ratio 1, no drift.
-        for _ in 0..4 {
+        for _ in 0..CALIBRATION_MIN_SAMPLES {
             let u = p.record(&s);
             assert!(!u.drifted, "{u:?}");
             assert!((u.ratio - 1.0).abs() < 1e-12);
@@ -604,7 +540,7 @@ mod tests {
             last = p.record(&s);
         }
         assert!(last.drifted, "EWMA pulled past 2×: {last:?}");
-        assert!(last.ratio > 2.0);
+        assert!(last.ratio > DRIFT_RATIO);
         assert!(r.gauge("blinkdb_elp_calibration_drift").get() > 1.0);
         // Restore honesty: the EWMA recovers and the verdict clears.
         p.set_predicted_scale(1.0);
@@ -626,7 +562,7 @@ mod tests {
     fn snapshot_is_deterministic_and_keys_render() {
         assert_eq!(qcs_key(&[]), "(none)");
         assert_eq!(qcs_key(&["city".to_string(), "os".to_string()]), "city, os");
-        let p = WorkloadProfiler::new(Registry::new(), ProfileConfig::default());
+        let p = WorkloadProfiler::new(Registry::new());
         p.record(&sample(&["city", "os"], "city_os", ServeOutcome::Hit));
         let a = p.snapshot();
         let b = p.snapshot();

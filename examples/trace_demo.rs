@@ -6,6 +6,7 @@
 //! Run with: `cargo run --release --example trace_demo`
 
 use blinkdb_core::blinkdb::{BlinkDb, BlinkDbConfig};
+use blinkdb_core::ExecPolicy;
 use blinkdb_service::{AuditPolicy, QueryService, ServiceConfig};
 use blinkdb_telemetry::SlowOutcome;
 use blinkdb_workload::conviva::conviva_dataset;
@@ -28,10 +29,14 @@ fn main() {
     // A traced service: every answer carries a span tree, and every
     // completion lands in the slow-query log (threshold 0.0 so the demo
     // has something to show — production uses ~0.9).
+    let exec = Some(ExecPolicy {
+        trace: true,
+        ..db.config().exec
+    });
     let service = QueryService::new(
         Arc::new(db),
         ServiceConfig {
-            trace: true,
+            exec,
             slow_threshold_frac: 0.0,
             // Audit every completion so the demo's accuracy report fills
             // quickly — production samples (default: 1 in 4 per template).

@@ -60,7 +60,6 @@ fn audit_every_query() -> AuditPolicy {
         sample_every: 1,
         shed_queue_depth: usize::MAX,
         max_backlog: usize::MAX,
-        ..AuditPolicy::default()
     }
 }
 

@@ -334,11 +334,15 @@ fn tracing_off_is_bit_identical_and_free() {
 
 fn traced_service() -> (QueryService, blinkdb_workload::ConvivaDataset) {
     let (dataset, db) = fixture_db();
+    let exec = Some(ExecPolicy {
+        trace: true,
+        ..db.config().exec
+    });
     let service = QueryService::new(
         Arc::new(db),
         ServiceConfig {
             workers: 2,
-            trace: true,
+            exec,
             // Everything qualifies as "slow": the log fills from the
             // first completion.
             slow_threshold_frac: 0.0,

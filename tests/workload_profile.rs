@@ -17,7 +17,7 @@
 //! * slow-query records carry the canonical template key and QCS.
 
 use blinkdb_core::{BlinkDb, BlinkDbConfig, Recommendation};
-use blinkdb_service::{ProfileConfig, QueryService, ServiceConfig};
+use blinkdb_service::{QueryService, ServiceConfig};
 use blinkdb_sql::template::WeightedTemplate;
 use blinkdb_telemetry::{validate_prometheus, AlertState, SlowOutcome};
 use blinkdb_workload::conviva::conviva_dataset;
@@ -83,7 +83,7 @@ fn run(service: &QueryService, sql: &str) -> blinkdb_service::ServiceAnswer {
 
 #[test]
 fn profiling_on_is_bit_identical_to_off() {
-    let collect = |profile: Option<ProfileConfig>| {
+    let collect = |profile: bool| {
         let (_dataset, db) = fixture_db();
         let service = QueryService::new(
             Arc::new(db),
@@ -98,8 +98,8 @@ fn profiling_on_is_bit_identical_to_off() {
             .map(|sql| run(&service, &sql))
             .collect::<Vec<_>>()
     };
-    let on = collect(Some(ProfileConfig::default()));
-    let off = collect(None);
+    let on = collect(true);
+    let off = collect(false);
     assert_eq!(on.len(), off.len());
     for (a, b) in on.iter().zip(off.iter()) {
         // Bit-identical simulated timings: profiling never draws from
@@ -320,12 +320,6 @@ fn elp_calibration_drift_fires_resolves_and_invalidates_profiles() {
         db,
         ServiceConfig {
             workers: 1,
-            profile: Some(ProfileConfig {
-                // Fast, deterministic drift verdicts for the test.
-                calibration_alpha: 0.5,
-                calibration_min_samples: 3,
-                ..ProfileConfig::default()
-            }),
             ..ServiceConfig::default()
         },
         Default::default(),
@@ -355,11 +349,17 @@ fn elp_calibration_drift_fires_resolves_and_invalidates_profiles() {
 
     // Phase 1: healthy baseline. Predictions come from the same fitted
     // latency model the planner used, so calibration sits near 1 and
-    // the rule stays quiet.
-    for i in 0..6 {
+    // the rule stays quiet. Ten queries clear the profiler's 8-sample
+    // minimum, so the not-firing verdict below is a live one.
+    for i in 0..10 {
         run(&service, &q(i));
     }
     let baseline = template_ratio(&profiler);
+    let samples = profiler.snapshot().templates[0].samples;
+    assert!(
+        samples >= 8,
+        "drift verdict needs 8 samples, have {samples}"
+    );
     let s = drift_state(&service);
     assert_ne!(s.state, AlertState::Firing, "baseline ratio {baseline}");
     assert_eq!(service.metrics().elp_invalidations, 0);
